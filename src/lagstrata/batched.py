@@ -1,16 +1,16 @@
 """Vectorized mod-p kernels for the finite-field scans.
 
-All arrays hold small nonnegative integer residues; the elimination kernel
-runs in float32, where every intermediate value is an exact integer below
-2^24 (requires p <= 181).  Modular reduction uses q = floor((x + 1/2)/p),
-whose argument keeps a margin of 1/(2p) from the nearest integer, far above
-float32 rounding error at these magnitudes.  The pure-Python echelon code in
+All arrays hold integers in float32.  Every value stays below EXACT_LIMIT
+= 2^21 in magnitude, where ``_reduce_mod`` is exact (at 2^23 it is not:
+p = 167 first fails at 4954555); ``check_exact`` is the one place that
+bounds the entry growth of ``batch_rank``.  The pure-Python echelon code in
 :mod:`lagstrata.linalg` is the reference these kernels are tested against.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
+from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
@@ -18,142 +18,116 @@ import numpy as np
 from .exterior import SUBSETS, INDEX, merge_sign
 
 MAX_PRIME = 181
+EXACT_LIMIT = 1 << 21
 
-_INV_TABLES: dict[int, np.ndarray] = {}
 
-
+@lru_cache(maxsize=None)
 def inverse_table(p: int) -> np.ndarray:
-    tab = _INV_TABLES.get(p)
-    if tab is None:
-        tab = np.zeros(p, dtype=np.float32)
-        for a in range(1, p):
-            tab[a] = float(pow(a, p - 2, p))
-        _INV_TABLES[p] = tab
+    tab = np.zeros(p, dtype=np.float32)
+    for a in range(1, p):
+        tab[a] = float(pow(a, p - 2, p))
     return tab
 
 
 def _reduce_mod(x: np.ndarray, p: int) -> None:
-    """In-place x mod p for float32 integer values with |x| < 2^23.
-
-    floor((x + 1/2)/p) stays at least 1/(2p) away from an integer, which
-    dwarfs the float32 rounding error at these magnitudes, so the quotient
-    is exact.
-    """
-    q = np.floor(x * np.float32(1.0 / p) + np.float32(0.5 / p))
+    """In-place x mod p for float32 integers with |x| < EXACT_LIMIT: the
+    float32 error of (x + 1/2)/p, below 3|x|/(p 2^24), is under its 1/(2p)
+    distance from an integer, so the floor is exact."""
+    q = x * np.float32(1.0 / p)
+    q += np.float32(0.5 / p)
+    np.floor(q, out=q)
     q *= np.float32(p)
-    np.subtract(x, q, out=x)
+    x -= q
+
+
+def check_exact(p: int, steps: int) -> None:
+    """Raise unless ``steps`` elimination steps over F_p stay below EXACT_LIMIT:
+    entries start at most p - 1 and each step subtracts at most (p - 1)^2."""
+    if p > MAX_PRIME:
+        raise ValueError(f"batched kernels require p <= {MAX_PRIME}")
+    if (p - 1) + (steps - 1) * (p - 1) ** 2 >= EXACT_LIMIT:
+        raise ValueError(f"{steps} elimination steps over F_{p} leave the exact range")
 
 
 def batch_rank(mats: np.ndarray, p: int, stop_rank: int | None = None,
                assume_reduced: bool = False, in_place: bool = False) -> np.ndarray:
     """Ranks of a batch of matrices over F_p; ``mats`` has shape (N, r, c).
 
-    Elimination defers the modular reduction of the bulk array: only the
-    active column and the (normalized) pivot rows are reduced, so entries
-    grow by at most (p-1)^2 per column and stay exact in float32.  With
-    ``stop_rank`` the loop exits once every matrix is known to have rank
-    at least that value (ranks above it are then reported as the column
-    count reached).  ``in_place`` destroys a float32 input instead of
-    copying it.
+    Eliminates a (steps, width, N) array, batch index innermost, with
+    steps = min(r, c) (the transpose when c < r).  Step s reduces line s,
+    takes its first nonzero entry as pivot, and updates only lines s+1:,
+    which also zeroes the pivot's own entries mod p, so no row is swapped
+    or reused.  Only the active line, pivot entries and factors are reduced
+    (delayed reduction).  With ``stop_rank`` the loop exits once every rank
+    is at least that value (larger ranks may then be underreported, down to
+    ``stop_rank``).  ``in_place`` destroys a float32 input that is a view
+    of a C-contiguous (steps, width, N) array instead of copying it.
     """
-    if p > MAX_PRIME:
-        raise ValueError(f"batched kernels require p <= {MAX_PRIME}")
     src = np.asarray(mats)
+    N, r, c = src.shape
+    check_exact(p, min(r, c))
+    src = src.transpose(2, 1, 0) if c < r else src.transpose(1, 2, 0)
     if in_place and src.dtype == np.float32 and src.flags.c_contiguous:
         a = src
         if not assume_reduced:
             _reduce_mod(a, p)
-    elif assume_reduced:
-        a = src.astype(np.float32)
     else:
-        a = np.mod(src, p).astype(np.float32)
-    N, r, c = a.shape
-    if N == 0:
-        return np.zeros(0, dtype=np.int64)
+        a = np.ascontiguousarray(src if assume_reduced else np.mod(src, p), dtype=np.float32)
+    steps = a.shape[0]
     inv = inverse_table(p)
-    ptr = np.zeros(N, dtype=np.int64)
-    rows = np.arange(r)
+    rank = np.zeros(N, dtype=np.int64)
     aN = np.arange(N)
     buf = np.empty_like(a)
-    target = min(r, c) if stop_rank is None else min(r, c, stop_rank)
-    for col in range(c):
-        colv = np.ascontiguousarray(a[:, :, col])
-        _reduce_mod(colv, p)
-        a[:, :, col] = colv
-        nz = (colv != 0) & (rows[None, :] >= ptr[:, None])
-        piv = np.argmax(nz, axis=1)
-        has = nz[aN, piv]
-        if has.any():
-            swap = has & (piv != ptr)
-            sidx = np.nonzero(swap)[0]
-            if sidx.size:
-                spr, spv = ptr[sidx], piv[sidx]
-                tmp = a[sidx, spr, :].copy()
-                a[sidx, spr, :] = a[sidx, spv, :]
-                a[sidx, spv, :] = tmp
-            prow_idx = np.where(has, ptr, 0)
-            prows = a[aN, prow_idx, :]
-            _reduce_mod(prows, p)
-            pivvals = prows[aN, np.where(has, col, 0)].astype(np.int64) % p
-            scale = np.where(has, inv[pivvals], np.float32(1.0))
-            prows *= scale[:, None]
-            _reduce_mod(prows, p)
-            a[aN, prow_idx, :] = prows
-            factors = np.where((rows[None, :] > prow_idx[:, None]) & has[:, None],
-                               a[:, :, col], np.float32(0.0))
-            np.multiply(factors[:, :, None], prows[:, None, :], out=buf)
-            np.subtract(a, buf, out=a)
-            ptr += has
-        if (ptr >= target).all():
+    target = steps if stop_rank is None else min(steps, stop_rank)
+    for s in range(steps):
+        if N == 0 or (rank >= target).all():
             break
-    return ptr
+        line = a[s]
+        _reduce_mod(line, p)
+        piv = np.argmax(line != 0, axis=0)
+        pval = line[piv, aN]
+        rank += pval != 0
+        if s + 1 == steps:
+            break
+        factors = line * inv[pval.astype(np.intp)]
+        _reduce_mod(factors, p)
+        prow = a[s + 1:, piv, aN]
+        _reduce_mod(prow, p)
+        np.multiply(prow[:, None, :], factors[None, :, :], out=buf[s + 1:])
+        a[s + 1:] -= buf[s + 1:]
+    return rank
 
 
-_PAIR_IDX = None
-
-
+@lru_cache(maxsize=None)
 def _pair_indices():
-    global _PAIR_IDX
-    if _PAIR_IDX is None:
-        ia, ib = zip(*combinations(range(6), 2))
-        _PAIR_IDX = (np.array(ia), np.array(ib))
-    return _PAIR_IDX
+    ia, ib = zip(*combinations(range(6), 2))
+    return np.array(ia), np.array(ib)
 
 
-_S32 = None
-
-
+@lru_cache(maxsize=None)
 def tri_biv_to_five() -> np.ndarray:
     """Wedge sign tensor (tri, biv) -> grade-5 coordinate; shape (20, 15, 6)."""
-    global _S32
-    if _S32 is None:
-        S = np.zeros((20, 15, 6), dtype=np.int64)
-        for i, I in enumerate(SUBSETS[3]):
-            for j, J in enumerate(SUBSETS[2]):
-                ms = merge_sign(I, J)
-                if ms is not None:
-                    sign, M = ms
-                    S[i, j, INDEX[5][M]] = sign
-        _S32 = S
-    return _S32
+    S = np.zeros((20, 15, 6), dtype=np.int64)
+    for i, I in enumerate(SUBSETS[3]):
+        for j, J in enumerate(SUBSETS[2]):
+            ms = merge_sign(I, J)
+            if ms is not None:
+                sign, M = ms
+                S[i, j, INDEX[5][M]] = sign
+    return S
 
 
-_S13 = None
-
-
+@lru_cache(maxsize=None)
 def vec_tri_to_four() -> np.ndarray:
     """Wedge sign tensor (vector, tri) -> grade-4 coordinate; shape (6, 20, 15)."""
-    global _S13
-    if _S13 is None:
-        S = np.zeros((6, 20, 15), dtype=np.int64)
-        for i in range(6):
-            for t, T in enumerate(SUBSETS[3]):
-                ms = merge_sign((i + 1,), T)
-                if ms is not None:
-                    sign, M = ms
-                    S[i, t, INDEX[4][M]] = sign
-        _S13 = S
-    return _S13
+    S = np.zeros((6, 20, 15), dtype=np.int64)
+    for i in range(6):
+        for t, T in enumerate(SUBSETS[3]):
+            ms = merge_sign((i + 1,), T)
+            if ms is not None:
+                sign, M = ms
+                S[i, t, INDEX[4][M]] = sign
+    return S
 
 
 def matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
@@ -163,8 +137,8 @@ def matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
 
 
 def matmul_mod_f32(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """(a @ b) mod p in float32; exact while the inner dimension keeps
-    accumulated values below 2^24 (true for all uses here)."""
+    """(a @ b) mod p in float32; exact while the accumulated values stay
+    below EXACT_LIMIT (true for all uses here)."""
     prod = a.astype(np.float32, copy=False) @ b.astype(np.float32, copy=False)
     _reduce_mod(prod, p)
     return prod
@@ -173,11 +147,10 @@ def matmul_mod_f32(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
 def tangent_gram_blocks(a_rows: np.ndarray, p: int) -> np.ndarray:
     """Contraction of a Lagrangian basis with the wedge tensor.
 
-    Returns D of shape (15, 60) with D[j, c*10+m] = sum_i a[m,i] S[i,j,c],
-    so for bivectors B (N, 3, 15) the product (B.reshape(-1,15) @ D) lists
-    the grade-5 coordinates of a_m ^ b_s.  Because the top-grade pairing of
-    a grade-5 element against the six basis vectors is a signed permutation
-    of its coordinates, 10 - rank of that (18, 10) matrix is dim(A ∩ T_U).
+    Returns D of shape (15, 60) with D[j, g*10+m] = sum_i a[m,i] S[i,j,g],
+    so (b @ D) lists the grade-5 coordinates g of a_m ^ b for a bivector b.
+    Coordinate g misses e_{5-g}, so eta(b ^ e_c, a_m) is column block 5 - c
+    of b @ D up to a sign depending only on c.
     """
     S = tri_biv_to_five()
     D = np.einsum("mi,ijc->jcm", np.mod(a_rows, p), S).reshape(15, 60) % p
@@ -185,24 +158,51 @@ def tangent_gram_blocks(a_rows: np.ndarray, p: int) -> np.ndarray:
 
 
 def bivectors_of_rows(mats: np.ndarray, p: int) -> np.ndarray:
-    """Pairwise wedges of the three rows of each 3x6 matrix: (N, 3, 15)."""
+    """Pairwise wedges of the three rows of each 3x6 matrix: (N, 3, 15),
+    a view of a C-contiguous (3, 15, N) array."""
     ia, ib = _pair_indices()
-    m = mats.astype(np.float32, copy=False)
-    out = np.empty((mats.shape[0], 3, 15), dtype=np.float32)
+    m = np.ascontiguousarray(mats.transpose(1, 2, 0), dtype=np.float32)
+    out = np.empty((3, 15, mats.shape[0]), dtype=np.float32)
     for s, (i, j) in enumerate(((0, 1), (0, 2), (1, 2))):
-        P = m[:, i, :, None] * m[:, j, None, :]
-        out[:, s, :] = P[:, ia, ib]
-        out[:, s, :] -= P[:, ib, ia]
+        np.multiply(m[i, ia], m[j, ib], out=out[s])
+        out[s] -= m[i, ib] * m[j, ia]
     _reduce_mod(out, p)
-    return out
+    return out.transpose(2, 0, 1)
 
 
 def intersection_dims_for_batch(mats: np.ndarray, D: np.ndarray, p: int) -> np.ndarray:
-    """dim(A ∩ T_U) for each 3x6 matrix in the batch, given D from above."""
-    N = mats.shape[0]
-    B = bivectors_of_rows(mats, p)
-    M = matmul_mod_f32(B.reshape(-1, 15), D, p).reshape(N, 18, 10)
-    return 10 - batch_rank(M, p, assume_reduced=True, in_place=True)
+    """dim(A ∩ T_U) for each 3x6 matrix in the batch, given D from above.
+
+    The rows u_i must be in row-echelon form mod p with leading columns
+    P_1 < P_2 < P_3, else ValueError.  The nine u_a^u_b^e_c for c outside P
+    and u_1^u_2^e_{P_3} (u_1^u_2^u_3 modulo the nine, up to a unit) are then
+    a basis t_i of T_U, and as A is Lagrangian dim(A ∩ T_U) = 10 - rank of
+    the 10x10 Gram matrix eta(t_i, a_m).  Each pivot pattern's bivectors
+    meet only the four blocks of D they need, written straight into the
+    layout ``batch_rank`` eliminates (entries below 15 (p-1)^2).
+    """
+    mats = np.mod(mats, p)
+    nz = mats != 0
+    lead = np.argmax(nz, axis=2)
+    if not (nz.any(axis=2).all() and (np.diff(lead, axis=1) > 0).all()):
+        raise ValueError("intersection_dims_for_batch needs 3x6 row-echelon matrices")
+    codes = lead @ np.array([36, 6, 1])
+    keys = np.unique(codes)
+    D5 = D.reshape(15, 6, 10)
+    dims = np.empty(mats.shape[0], dtype=np.int64)
+    for key in keys:
+        idx = slice(None) if keys.size == 1 else np.nonzero(codes == key)[0]
+        P = (key // 36, key // 6 % 6, key % 6)
+        blocks = [5 - c for c in range(6) if c not in P] + [5 - P[2]]
+        Dt = D5[:, blocks].transpose(1, 2, 0).reshape(40, 15)
+        B = bivectors_of_rows(mats[idx], p).transpose(1, 2, 0)
+        gram = np.empty((10, 10, B.shape[2]), dtype=np.float32)
+        # u_1^u_2 against all four blocks, u_1^u_3 and u_2^u_3 against three
+        for s, rows in enumerate((slice(0, 4), slice(4, 7), slice(7, 10))):
+            out = gram[rows].reshape(-1, B.shape[2])
+            np.matmul(Dt[:out.shape[0]], B[s], out=out)
+        dims[idx] = 10 - batch_rank(gram.transpose(2, 0, 1), p, in_place=True)
+    return dims
 
 
 def pivot_patterns(n: int = 6, k: int = 3):
@@ -289,16 +289,15 @@ def decomposable_mask(omegas: np.ndarray, p: int) -> np.ndarray:
     A nonzero trivector is decomposable iff the 6x15 matrix of v -> v ^ omega
     has rank 3 (only 3, 5, 6 occur).
     """
-    S = vec_tri_to_four().transpose(1, 0, 2).reshape(20, 90) % p
-    M = matmul_mod_f32(np.mod(omegas, p), S, p).reshape(-1, 6, 15)
-    Mt = np.ascontiguousarray(M.transpose(0, 2, 1))
-    return batch_rank(Mt, p, stop_rank=4, assume_reduced=True, in_place=True) == 3
+    S = vec_tri_to_four().transpose(0, 2, 1).reshape(90, 20) % p
+    M = matmul_mod_f32(S, np.mod(omegas, p).T, p).reshape(6, 15, -1)
+    return batch_rank(M.transpose(2, 1, 0), p, stop_rank=4, assume_reduced=True,
+                      in_place=True) == 3
 
 
 def f_space_dims(ws: np.ndarray, a_rows: np.ndarray, p: int) -> np.ndarray:
     """dim(A ∩ F_[w]) for each nonzero w (rows of (N, 6))."""
     S = vec_tri_to_four()
-    E = np.einsum("mt,itf->imf", np.mod(a_rows, p), S).reshape(6, 150) % p
-    M = matmul_mod_f32(np.mod(ws, p), E, p).reshape(-1, 10, 15)
-    Mt = np.ascontiguousarray(M.transpose(0, 2, 1))
-    return 10 - batch_rank(Mt, p, assume_reduced=True, in_place=True)
+    E = np.einsum("mt,itf->mfi", np.mod(a_rows, p), S).reshape(150, 6) % p
+    M = matmul_mod_f32(E, np.mod(ws, p).T, p).reshape(10, 15, -1)
+    return 10 - batch_rank(M.transpose(2, 1, 0), p, assume_reduced=True, in_place=True)

@@ -18,8 +18,9 @@ import click
 
 from . import __version__
 from . import schubert, dualk3
+from .batched import MAX_PRIME as BATCHED_MAX_PRIME
 from .acceptance import run_all
-from .fields import GF
+from .fields import GF, MAX_PRIME as FIELD_MAX_PRIME
 from .lagrangian import random_graph_lagrangian
 from .linalg import mat_eq
 from .chart import (chart_quadric, graph_matrix_of_tangent, plant_corank,
@@ -70,7 +71,7 @@ class Report:
         }
 
 
-def _emit(report: Report, out, json_only: bool, budget_exhausted=False):
+def _emit(report: Report, out, json_only: bool, exit_code=None):
     doc = json.dumps(report.to_json(), indent=2, default=str)
     if out:
         with open(out, "w") as fh:
@@ -78,14 +79,26 @@ def _emit(report: Report, out, json_only: bool, budget_exhausted=False):
     else:
         click.echo(doc)
     if not json_only:
-        status = "BUDGET-EXHAUSTED" if budget_exhausted else (
-            "PASS" if report.passed else "FAIL")
+        status = {2: "USAGE-ERROR", 3: "BUDGET-EXHAUSTED"}.get(
+            exit_code, "PASS" if report.passed else "FAIL")
         click.echo(f"[{status}] {report.subcommand}: "
                    f"{sum(a['passed'] for a in report.assertions)}/"
                    f"{len(report.assertions)} assertions passed", err=True)
-    if budget_exhausted:
-        sys.exit(3)
-    sys.exit(0 if report.passed else 1)
+    if exit_code is None:
+        exit_code = 0 if report.passed else 1
+    sys.exit(exit_code)
+
+
+def _require_prime(rep: Report, prime: int, out, json_only: bool, lo: int = 2,
+                   hi: int = FIELD_MAX_PRIME):
+    """Exit 2 with the report unless --prime is a prime field in [lo, hi]."""
+    try:
+        GF(prime)
+        if not lo <= prime <= hi:
+            raise ValueError(f"this experiment needs {lo} <= --prime <= {hi}")
+    except ValueError as exc:
+        rep.results["error"] = str(exc)
+        _emit(rep, out, json_only, exit_code=2)
 
 
 def _common(fn):
@@ -185,6 +198,7 @@ def census_cmd(prime, seed, threads, lg1, out, json_only):
     """Exact stratum histogram of a seeded random Lagrangian over F_p."""
     rep = Report("census", {"prime": prime, "seed": seed, "threads": threads,
                             "lg1": lg1})
+    _require_prime(rep, prime, out, json_only)
     try:
         certificates = {}
         if lg1:
@@ -213,7 +227,7 @@ def census_cmd(prime, seed, threads, lg1, out, json_only):
             rep.expect("count_ge_4", 0, report.count_at_least(4), "paper")
     except BudgetExceededError as exc:
         rep.results["error"] = str(exc)
-        _emit(rep, out, json_only, budget_exhausted=True)
+        _emit(rep, out, json_only, exit_code=3)
     _emit(rep, out, json_only)
 
 
@@ -263,11 +277,14 @@ def dual_k3(prime, seed, experiment, trials, out, json_only):
     """Sampled verification of the special-Lagrangian surface maps."""
     rep = Report("dual-k3", {"prime": prime, "seed": seed,
                              "experiment": experiment, "trials": trials})
+    # the construction needs p >= 5; residual triples run batched ranks
+    _require_prime(rep, prime, out, json_only, lo=5,
+                   hi=BATCHED_MAX_PRIME if experiment == "residual" else FIELD_MAX_PRIME)
     try:
         data = dualk3.build_special_a(p=prime, seed=seed)
     except (dualk3.RetryBudgetError, dualk3.DegenerateConfiguration) as exc:
         rep.results["error"] = str(exc)
-        _emit(rep, out, json_only, budget_exhausted=True)
+        _emit(rep, out, json_only, exit_code=3)
     rng = random.Random(seed + 1)
     records = []
     retries = 0
@@ -337,7 +354,7 @@ def dual_k3(prime, seed, experiment, trials, out, json_only):
                 raise dualk3.RetryBudgetError("too many degenerate configurations")
     except dualk3.RetryBudgetError as exc:
         rep.results = {"error": str(exc), "records": records, "retries": retries}
-        _emit(rep, out, json_only, budget_exhausted=True)
+        _emit(rep, out, json_only, exit_code=3)
     rep.results = {"records": records, "retries": retries}
     rep.expect(f"{experiment}: all trials passed", [True] * trials,
                [r["passed"] for r in records], "paper")

@@ -206,11 +206,6 @@ class SpecialLagrangianData:
         return vol5(_mv2(f, alpha), _mv3(f, list(beta_coords)))
 
 
-def q_a_star(data: SpecialLagrangianData, beta_coords):
-    """The induced quadric on K-perp, evaluated at a trivector."""
-    return data.q_star(list(beta_coords))
-
-
 def special_frame(field) -> LagrangianFrame:
     l0 = [v0_wedge_coords(field, [field.one if t == i else field.zero
                                   for t in range(10)]) for i in range(10)]

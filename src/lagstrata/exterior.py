@@ -204,8 +204,3 @@ def eta_gram(field):
             if ms is not None:
                 G[i][j] = field.from_int(ms[0])
     return G
-
-
-def vector_to_w(field, coeffs):
-    """Grade-1 element from a length-6 coefficient list."""
-    return MultiVector.from_vector(field, 1, list(coeffs))

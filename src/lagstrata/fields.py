@@ -29,6 +29,9 @@ def _is_prime(n: int) -> bool:
     return True
 
 
+MAX_PRIME = 1000
+
+
 class PrimeField:
     """F_p, elements represented as ints in ``range(p)``.
 
@@ -42,8 +45,8 @@ class PrimeField:
     def __init__(self, p: int):
         if not _is_prime(p):
             raise ValueError(f"{p} is not prime")
-        if p > 1000:
-            raise ValueError("prime fields are limited to p <= 1000")
+        if p > MAX_PRIME:
+            raise ValueError(f"prime fields are limited to p <= {MAX_PRIME}")
         self.p = p
 
     @property

@@ -12,7 +12,7 @@ from itertools import combinations
 from .fields import check_same_field
 from .exterior import DIM_W, SUBSETS, MultiVector, wedge, eta, eta_gram
 from .linalg import (LinearSubspace, rank, right_nullspace, mat_mul,
-                     mat_inverse, transpose, is_symmetric, intersect)
+                     mat_inverse, transpose, is_symmetric)
 
 TRI_DIM = len(SUBSETS[3])  # 20
 LAG_DIM = 10
@@ -250,16 +250,5 @@ def random_graph_lagrangian(field, rng, frame: LagrangianFrame | None = None):
     return lagrangian_from_graph(frame, M)
 
 
-def stratum_dim(A: LinearSubspace, U: LinearSubspace) -> int:
-    """dim(A ∩ T_U) computed by exact echelon on the stacked bases."""
-    T = tangent_space(U)
-    total = rank(list(A.rows) + list(T.rows), A.field)
-    return A.dim + T.dim - total
-
-
 def intersection_dim(S1: LinearSubspace, S2: LinearSubspace) -> int:
     return S1.dim + S2.dim - rank(list(S1.rows) + list(S2.rows), S1.field)
-
-
-def lagrangian_intersection(A: LinearSubspace, B: LinearSubspace) -> LinearSubspace:
-    return intersect(A, B)

@@ -101,17 +101,6 @@ def mat_mul(A, B, field):
     return out
 
 
-def mat_vec(A, v, field):
-    out = []
-    for row in A:
-        s = field.zero
-        for a, b in zip(row, v):
-            if not field.is_zero(a) and not field.is_zero(b):
-                s = field.add(s, field.mul(a, b))
-        out.append(s)
-    return out
-
-
 def transpose(A):
     return [list(col) for col in zip(*A)]
 

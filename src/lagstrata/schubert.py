@@ -183,10 +183,6 @@ class ChowClassG36:
 H = ChowClassG36.sigma((1,))
 
 
-def mult_g36(x: ChowClassG36, y: ChowClassG36) -> ChowClassG36:
-    return x * y
-
-
 def power(x: ChowClassG36, n: int) -> ChowClassG36:
     out = ChowClassG36.one()
     for _ in range(n):

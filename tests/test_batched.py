@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lagstrata import batched
 from lagstrata.fields import GF
@@ -36,6 +37,81 @@ def test_batch_rank_stop_rank_semantics():
 def test_batch_rank_cap_on_prime():
     with pytest.raises(ValueError):
         batched.batch_rank(np.zeros((1, 2, 2), dtype=np.int64), 191)
+
+
+def _max_steps(p):
+    # largest s with (p-1) + (s-1)(p-1)^2 below the float32-exact limit
+    return (batched.EXACT_LIMIT - 1 - (p - 1)) // (p - 1) ** 2 + 1
+
+
+@pytest.mark.parametrize("p", [2, 5, 181])
+def test_batch_rank_growth_bound_edge(p):
+    s = _max_steps(p)
+    batched.check_exact(p, s)
+    with pytest.raises(ValueError):
+        batched.check_exact(p, s + 1)
+    # the bound counts elimination steps, min(r, c), in either orientation
+    if s + 1 <= 300:
+        with pytest.raises(ValueError):
+            batched.batch_rank(np.zeros((1, s + 1, s + 2), dtype=np.int64), p)
+        with pytest.raises(ValueError):
+            batched.batch_rank(np.zeros((1, s + 2, s + 1), dtype=np.int64), p)
+
+
+def test_batch_rank_at_the_float32_edge():
+    # p = 181 admits 65 steps; all entries p - 1 except a unit diagonal makes
+    # every factor and pivot-row entry maximal in the first step
+    p, n = 181, _max_steps(181)
+    assert n == 65
+    field = GF(p)
+    rng = np.random.default_rng(181)
+    mats = np.full((3, n, n), p - 1, dtype=np.int64)
+    mats[0, np.arange(n), np.arange(n)] = 1
+    mats[1] = rng.integers(0, p, size=(n, n))
+    mats[2] = (rng.integers(0, p, size=(n, 40)) @ rng.integers(0, p, size=(40, n))) % p
+    got = batched.batch_rank(mats - p * rng.integers(0, 50, size=mats.shape), p)
+    for i in range(3):
+        rows = [[field.from_int(int(x)) for x in r] for r in mats[i]]
+        assert got[i] == pure_rank(rows, field)
+    assert got[2] == 40
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([2, 3, 181]), st.integers(1, 9), st.integers(1, 9),
+       st.integers(0, 2**32 - 1))
+def test_batch_rank_hypothesis_extreme_entries(p, r, c, seed):
+    rng = np.random.default_rng(seed)
+    field = GF(p)
+    # entries are residues shifted by multiples of p: negative, zero and the
+    # largest magnitudes the reducing entry path accepts
+    res = rng.choice([0, 1, p - 1, rng.integers(0, p)], size=(8, r, c))
+    lift = rng.choice([0, -1, 1, -(batched.EXACT_LIMIT // p - 1)], size=res.shape)
+    got = batched.batch_rank(res + p * lift, p)
+    got_f32 = batched.batch_rank((res + p * lift).astype(np.float32), p, in_place=True)
+    for i in range(8):
+        rows = [[field.from_int(int(x)) for x in row] for row in res[i]]
+        assert got[i] == got_f32[i] == pure_rank(rows, field)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([2, 3, 5, 101, 167, 181]),
+       st.lists(st.integers(-(batched.EXACT_LIMIT - 1), batched.EXACT_LIMIT - 1),
+                min_size=1, max_size=50))
+def test_reduce_mod_hypothesis_edge(p, xs):
+    edge = [batched.EXACT_LIMIT - 1, -(batched.EXACT_LIMIT - 1), p - 1, -p, 0]
+    x = np.array(xs + edge, dtype=np.int64)
+    y = x.astype(np.float32)
+    batched._reduce_mod(y, p)
+    assert (y.astype(np.int64) == x % p).all()
+
+
+def test_reduce_mod_exhaustive_below_limit():
+    # every integer of magnitude below the limit, at the largest admitted prime
+    x = np.arange(-batched.EXACT_LIMIT + 1, batched.EXACT_LIMIT, dtype=np.int64)
+    for p in (167, 181):
+        y = x.astype(np.float32)
+        batched._reduce_mod(y, p)
+        assert (y.astype(np.int64) == x % p).all()
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])

@@ -1,5 +1,6 @@
 import json
 
+import pytest
 from click.testing import CliRunner
 
 from lagstrata.cli import main
@@ -69,6 +70,21 @@ def test_census_budget_exit_code():
     res = invoke("census", "--prime", "17", "--seed", "0", "--json-only")
     assert res.exit_code == 3
     assert "error" in parse(res)["results"]
+
+
+@pytest.mark.parametrize("args", [
+    ("census", "--prime", "4"),
+    ("census", "--prime", "4", "--lg1"),
+    ("dual-k3", "--prime", "3"),
+    ("dual-k3", "--prime", "1009"),
+    ("dual-k3", "--prime", "191", "--experiment", "residual"),
+])
+def test_bad_prime_is_a_usage_error_with_report(args):
+    res = invoke(*args, "--json-only")
+    assert res.exit_code == 2
+    doc = parse(res)
+    assert doc["config"]["prime"] == int(args[2])
+    assert "prime" in doc["results"]["error"]
 
 
 def test_usage_error_exit_code():

@@ -215,6 +215,63 @@ def test_census_pipeline_against_pure_stratum_sampled():
                 assert stratum(A, U) == dims[i]
 
 
+def test_gram_dims_on_mixed_pivot_patterns():
+    # batches mixing many pivot patterns: reduced rows from random_subspace,
+    # then the same subspaces with rows scaled and lower rows added to upper
+    # ones (still row-echelon, no longer reduced)
+    import numpy as np
+    from lagstrata import batched
+    from lagstrata.strata import _rows_array
+    for p, seed in ((3, 4), (5, 6), (7, 8)):
+        field = GF(p)
+        rng = random.Random(seed)
+        A = random_graph_lagrangian(field, rng)
+        D = batched.tangent_gram_blocks(_rows_array(A) % p, p)
+        subspaces = []
+        for _ in range(80):
+            # a random subspace of a random coordinate k-space, k = 3..6
+            cols = sorted(rng.sample(range(6), rng.randrange(3, 7)))
+            V = random_subspace(field, len(cols), 3, rng)
+            rows = [[field.zero] * 6 for _ in range(3)]
+            for row, v in zip(rows, V.rows):
+                for c, x in zip(cols, v):
+                    row[c] = x
+            subspaces.append(LinearSubspace.from_vectors(field, 6, rows))
+        mats = np.array([[[int(x) for x in r] for r in U.rows] for U in subspaces])
+        echelon = mats * np.array([rng.randrange(1, p) for _ in range(3)])[None, :, None]
+        echelon[:, 0] += rng.randrange(p) * echelon[:, 1] + rng.randrange(p) * echelon[:, 2]
+        echelon[:, 1] += rng.randrange(p) * echelon[:, 2]
+        want = [stratum(A, U) for U in subspaces]
+        assert len({tuple(np.argmax(m != 0, axis=1)) for m in mats}) >= 12
+        assert list(batched.intersection_dims_for_batch(mats, D, p)) == want
+        assert list(batched.intersection_dims_for_batch(echelon % p, D, p)) == want
+        assert list(batched.intersection_dims_for_batch(mats[::-1], D, p)) == want[::-1]
+
+
+@pytest.mark.parametrize("rows", [
+    [[0, 1, 0, 0, 0, 0], [1, 0, 0, 0, 0, 0], [0, 0, 1, 0, 0, 0]],   # pivots out of order
+    [[1, 0, 0, 0, 0, 0], [1, 1, 0, 0, 0, 0], [0, 0, 1, 0, 0, 0]],   # repeated leading column
+    [[1, 0, 0, 0, 0, 0], [0, 1, 0, 0, 0, 0], [0, 0, 0, 0, 0, 0]],   # zero row
+    [[1, 0, 0, 0, 0, 0], [0, 3, 0, 0, 0, 0], [0, 0, 1, 0, 0, 0]],   # zero row mod 3
+])
+def test_gram_dims_reject_non_echelon_input(rows):
+    import numpy as np
+    from lagstrata import batched
+    from lagstrata.strata import _rows_array
+    p = 3
+    A = random_graph_lagrangian(GF(p), random.Random(1))
+    D = batched.tangent_gram_blocks(_rows_array(A) % p, p)
+    good = np.array([[[1, 0, 0, 0, 0, 0], [0, 1, 0, 0, 0, 0], [0, 0, 1, 0, 0, 0]]])
+    batched.intersection_dims_for_batch(good, D, p)
+    with pytest.raises(ValueError):
+        batched.intersection_dims_for_batch(np.concatenate([good, [rows]]), D, p)
+
+
+def test_census_p3_histogram_pinned():
+    A = random_graph_lagrangian(GF(3), random.Random(1))
+    assert census(A).counts == {0: 21465, 1: 11058, 2: 1305, 3: 52}
+
+
 def test_sample_lg1_certificates_deterministic():
     s1 = sample_lg1(3, seed=2, want_census=True)
     s2 = sample_lg1(3, seed=2, want_census=True)

@@ -30,6 +30,7 @@ SEED_CENSUS_P3 = 1
 SEEDS_LG1_P5 = (11, 23, 31)
 SEED_DUALK3 = 7
 SEED_DUALK3_RNG = 1105
+DUALK3_RETRY_BUDGET = 200   # degenerate redraws allowed per criterion-9 stage
 
 
 @dataclass
@@ -196,52 +197,52 @@ def criterion_8_census(threads: int = 2) -> CriterionResult:
     return r
 
 
+def _redraw(r: CriterionResult, stage: str, count: int, draw):
+    """``count`` results of ``draw``, or None once the redraws exhaust the budget."""
+    out, retries = [], 0
+    while len(out) < count:
+        try:
+            out.append(draw())
+        except dualk3.DegenerateConfiguration:
+            retries += 1
+            if retries == DUALK3_RETRY_BUDGET:
+                r.check_true(f"{stage}: degenerate draws within the retry budget", False,
+                             "derived", detail={"retries": retries, "successes": len(out)})
+                return None
+    return out
+
+
 @_timed
 def criterion_9_dual_k3() -> CriterionResult:
     r = CriterionResult(9, "dual-K3 suite over F_101")
     data = dualk3.build_special_a(p=101, seed=SEED_DUALK3)
     rng = random.Random(SEED_DUALK3_RNG)
 
-    phi_dims = []
-    for _ in range(50):
-        while True:
-            a = dualk3.sample_s_a_point(data, rng)
-            b = dualk3.sample_s_a_point(data, rng)
-            try:
-                ph = dualk3.phi(data, a, b)
-            except dualk3.DegenerateConfiguration:
-                continue
-            phi_dims.append(dualk3.phi_sextic_dim(data, ph))
-            break
-    r.check("pair-image sextic dims (50 trials)", [1] * 50, phi_dims, "paper")
+    def points(n):
+        return [dualk3.sample_s_a_point(data, rng) for _ in range(n)]
 
-    psi_strata = []
-    for _ in range(50):
-        while True:
-            trio = [dualk3.sample_s_a_point(data, rng) for _ in range(3)]
-            try:
-                ps = dualk3.psi(data, *trio)
-            except dualk3.DegenerateConfiguration:
-                continue
-            psi_strata.append(dualk3.psi_stratum(data, ps))
-            break
-    r.check("triple-image strata (50 trials)", [2] * 50, psi_strata, "paper")
+    phis = _redraw(r, "pair images", 50, lambda: dualk3.phi(data, *points(2)))
+    if phis is None:
+        return r
+    r.check("pair-image sextic dims (50 trials)", [1] * 50,
+            [dualk3.phi_sextic_dim(data, ph) for ph in phis], "paper")
 
-    ns_ranks, ns_dims, ns_x0 = [], [], []
-    done = 0
-    while done < 50:
-        trio = [dualk3.sample_s_a_point(data, rng) for _ in range(3)]
-        try:
-            res = dualk3.newsystem_dimension(data, *trio, rng)
-        except dualk3.DegenerateConfiguration:
-            continue
-        ns_ranks.append(res["rank"])
-        ns_dims.append((res["solution_dim"], res["stratum"]))
-        ns_x0.append(res["x_zero_solutions"])
-        done += 1
-    r.check("adapted-system ranks (50 triples)", [4] * 50, ns_ranks, "paper")
-    r.check("adapted-system solution dims vs stratum", [(2, 2)] * 50, ns_dims, "paper")
-    r.check("solutions with x = 0", [0] * 50, ns_x0, "paper")
+    psis = _redraw(r, "triple images", 50, lambda: dualk3.psi(data, *points(3)))
+    if psis is None:
+        return r
+    r.check("triple-image strata (50 trials)", [2] * 50,
+            [dualk3.psi_stratum(data, ps) for ps in psis], "paper")
+
+    systems = _redraw(r, "adapted systems", 50,
+                      lambda: dualk3.newsystem_dimension(data, *points(3), rng))
+    if systems is None:
+        return r
+    r.check("adapted-system ranks (50 triples)", [4] * 50,
+            [res["rank"] for res in systems], "paper")
+    r.check("adapted-system solution dims vs stratum", [(2, 2)] * 50,
+            [(res["solution_dim"], res["stratum"]) for res in systems], "paper")
+    r.check("solutions with x = 0", [0] * 50,
+            [res["x_zero_solutions"] for res in systems], "paper")
 
     residual_ok = 0
     attempts = 0

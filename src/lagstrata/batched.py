@@ -3,8 +3,11 @@
 All arrays hold integers in float32.  Every value stays below EXACT_LIMIT
 = 2^21 in magnitude, where ``_reduce_mod`` is exact (at 2^23 it is not:
 p = 167 first fails at 4954555); ``check_exact`` is the one place that
-bounds the entry growth of ``batch_rank``.  The pure-Python echelon code in
-:mod:`lagstrata.linalg` is the reference these kernels are tested against.
+bounds the entry growth of ``batch_rank`` and the sums of ``quadric_zeros``.
+Decomposability is tested by the Pluecker quadrics of G(3,6), which cut out
+the decomposable trivectors over every field (Fulton, *Young Tableaux*, §9).
+The pure-Python echelon code in :mod:`lagstrata.linalg` is the reference
+these kernels are tested against.
 """
 
 from __future__ import annotations
@@ -16,6 +19,8 @@ from itertools import combinations
 import numpy as np
 
 from .exterior import SUBSETS, INDEX, merge_sign
+from .fields import GF
+from .linalg import rref
 
 MAX_PRIME = 181
 EXACT_LIMIT = 1 << 21
@@ -40,13 +45,15 @@ def _reduce_mod(x: np.ndarray, p: int) -> None:
     x -= q
 
 
-def check_exact(p: int, steps: int) -> None:
-    """Raise unless ``steps`` elimination steps over F_p stay below EXACT_LIMIT:
-    entries start at most p - 1 and each step subtracts at most (p - 1)^2."""
+def check_exact(p: int, steps: int = 1, terms: int = 0) -> None:
+    """Raise unless values over F_p stay below EXACT_LIMIT: in ``steps``
+    elimination steps entries start at most p - 1 and each step subtracts at
+    most (p - 1)^2; a sum of ``terms`` reduced products is below terms (p - 1)^2."""
     if p > MAX_PRIME:
         raise ValueError(f"batched kernels require p <= {MAX_PRIME}")
-    if (p - 1) + (steps - 1) * (p - 1) ** 2 >= EXACT_LIMIT:
-        raise ValueError(f"{steps} elimination steps over F_{p} leave the exact range")
+    if max((p - 1) + (steps - 1) * (p - 1) ** 2, terms * (p - 1) ** 2) >= EXACT_LIMIT:
+        raise ValueError(f"{steps} elimination steps or {terms}-term sums over F_{p} "
+                         "leave the exact range")
 
 
 def batch_rank(mats: np.ndarray, p: int, stop_rank: int | None = None,
@@ -128,12 +135,6 @@ def vec_tri_to_four() -> np.ndarray:
                 sign, M = ms
                 S[i, t, INDEX[4][M]] = sign
     return S
-
-
-def matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """Exact (a @ b) mod p through float64; inputs must be reduced mod p."""
-    prod = a.astype(np.float64) @ b.astype(np.float64)
-    return np.mod(np.rint(prod).astype(np.int64), p)
 
 
 def matmul_mod_f32(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
@@ -283,16 +284,65 @@ def parallel_map(worker, items, threads: int = 2):
         return list(pool.map(worker, items))
 
 
-def decomposable_mask(omegas: np.ndarray, p: int) -> np.ndarray:
-    """Which nonzero trivectors (rows of (N, 20)) are decomposable.
+def _upper(G: np.ndarray) -> np.ndarray:
+    """Upper-triangular (..., d, d) forms with the quadratic forms of G."""
+    return np.triu(G + G.swapaxes(-1, -2), 1) + G * np.eye(G.shape[-1], dtype=G.dtype)
 
-    A nonzero trivector is decomposable iff the 6x15 matrix of v -> v ^ omega
-    has rank 3 (only 3, 5, 6 occur).
-    """
-    S = vec_tri_to_four().transpose(0, 2, 1).reshape(90, 20) % p
-    M = matmul_mod_f32(S, np.mod(omegas, p).T, p).reshape(6, 15, -1)
-    return batch_rank(M.transpose(2, 1, 0), p, stop_rank=4, assume_reduced=True,
-                      in_place=True) == 3
+
+@lru_cache(maxsize=None)
+def plucker_relations() -> np.ndarray:
+    """The quadrics sum_k (-1)^k p_{i1 i2 j_k} p_{J - j_k} (J a 4-set, p
+    alternating), nonzero and distinct up to sign, as upper-triangular forms
+    on the 20 trivector coordinates: (45, 20, 20), spanning 35 dimensions."""
+    rels = np.zeros((15, 15, 20, 20), dtype=np.int64)
+    for a, I in enumerate(SUBSETS[2]):
+        for b, J in enumerate(SUBSETS[4]):
+            for k, j in enumerate(J):
+                if ms := merge_sign(I, (j,)):
+                    rels[a, b, INDEX[3][ms[1]], INDEX[3][J[:k] + J[k + 1:]]] = (-1) ** k * ms[0]
+    rels = _upper(rels.reshape(225, 20, 20)).reshape(225, 400)
+    rels = rels[rels.any(axis=1)]
+    rels *= np.sign(rels[np.arange(len(rels)), np.argmax(rels != 0, axis=1)])[:, None]
+    return np.unique(rels, axis=0).reshape(-1, 20, 20)
+
+
+def restricted_quadrics(rows: np.ndarray, p: int) -> np.ndarray:
+    """A basis mod p of the Pluecker quadrics restricted to span(rows): for
+    (d, 20) ``rows``, (r, d, d) upper-triangular float32 forms whose common
+    zeros c are exactly the c with c @ rows zero or decomposable (r = 35 and
+    d = 10 for a generic Lagrangian)."""
+    R = np.mod(rows, p)
+    iu = np.triu_indices(R.shape[0])
+    U = _upper(R @ plucker_relations() @ R.T)[:, iu[0], iu[1]] % p
+    red, pivots = rref(U.tolist(), GF(p))
+    forms = np.zeros((len(pivots), R.shape[0], R.shape[0]), dtype=np.float32)
+    forms[:, iu[0], iu[1]] = np.reshape(red[:len(pivots)], (len(pivots), iu[0].size))
+    return forms
+
+
+def quadric_zeros(points: np.ndarray, forms: np.ndarray, p: int) -> np.ndarray:
+    """Increasing indices of the rows x of (N, d) ``points`` (|x| < EXACT_LIMIT)
+    where every form G of (r, d, d) ``forms`` vanishes mod p, each evaluated only
+    on the points the earlier ones left, as x . (x G mod p) < d (p - 1)^2."""
+    check_exact(p, terms=forms.shape[-1])
+    x = points.astype(np.float32)
+    _reduce_mod(x, p)
+    idx = np.arange(x.shape[0])
+    for G in forms:
+        y = x @ G
+        _reduce_mod(y, p)
+        v = np.einsum("ij,ij->i", y, x)
+        _reduce_mod(v, p)
+        keep = v == 0
+        idx, x = idx[keep], x[keep]
+    return idx
+
+
+def decomposable_mask(omegas: np.ndarray, p: int) -> np.ndarray:
+    """Which nonzero trivectors (rows of (N, 20)) are decomposable."""
+    omegas = np.mod(omegas, p)
+    zeros = quadric_zeros(omegas, restricted_quadrics(np.eye(20, dtype=np.int64), p), p)
+    return np.isin(np.arange(len(omegas)), zeros) & omegas.any(axis=1)
 
 
 def f_space_dims(ws: np.ndarray, a_rows: np.ndarray, p: int) -> np.ndarray:

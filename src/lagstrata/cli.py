@@ -56,7 +56,8 @@ class Report:
 
     @property
     def passed(self):
-        return all(a["passed"] for a in self.assertions)
+        """False for an error report (exit 2 or 3), whatever its assertions."""
+        return "error" not in self.results and all(a["passed"] for a in self.assertions)
 
     def to_json(self):
         return {

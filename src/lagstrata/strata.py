@@ -197,23 +197,22 @@ def sigma_probe(A: LagrangianSubspace, trials: int = 2000, rng=None,
                 chunk: int = 65536, threads: int = 2) -> DivisorProbeResult:
     """Search P(A) for a decomposable vector.
 
-    Over F_p with p <= 5 the whole of P(A) = P^9(F_p) is enumerated and a
-    negative verdict is a certificate; otherwise ``trials`` random points
-    are tested and none-found stays inconclusive.
+    A point c is a hit when the Pluecker quadrics restricted to A all vanish
+    at it; only the first hit c.A is certified by the exact test.  Over F_p
+    with p <= 5 the whole of P(A) = P^9(F_p) is enumerated and a negative
+    verdict is a certificate; otherwise ``trials`` random points are tested
+    and none-found stays inconclusive.
     """
     p = _require_prime_field(A)
     AM = _rows_array(A) % p
+    forms = batched.restricted_quadrics(AM, p)
     if p <= SIGMA_EXHAUSTIVE_MAX_PRIME:
         descs = batched.projective_block_descriptors(10, p, chunk=chunk)
 
         def worker(desc):
             combos = batched.build_projective_block(desc, 10, p)
-            omegas = batched.matmul_mod(combos, AM, p)
-            mask = batched.decomposable_mask(omegas, p)
-            hits = np.nonzero(mask)[0]
-            if hits.size:
-                return combos.shape[0], [int(x) for x in omegas[hits[0]]]
-            return combos.shape[0], None
+            hits = batched.quadric_zeros(combos, forms, p)
+            return combos.shape[0], combos[hits[0]] @ AM % p if hits.size else None
 
         total = 0
         first = None
@@ -240,11 +239,9 @@ def sigma_probe(A: LagrangianSubspace, trials: int = 2000, rng=None,
             while not any(row):
                 row = [rng.randrange(p) for _ in range(10)]
             combos[i] = row
-        omegas = batched.matmul_mod(combos, AM, p)
-        mask = batched.decomposable_mask(omegas, p)
-        hits = np.nonzero(mask)[0]
+        hits = batched.quadric_zeros(combos, forms, p)
         if hits.size:
-            wit = _certify_decomposable(A.field, [int(x) for x in omegas[hits[0]]])
+            wit = _certify_decomposable(A.field, combos[hits[0]] @ AM % p)
             return DivisorProbeResult(kind="sigma", verdict="found-witness",
                                       exhaustive=False, trials=done + int(hits[0]) + 1,
                                       witnesses=[wit])
@@ -254,7 +251,7 @@ def sigma_probe(A: LagrangianSubspace, trials: int = 2000, rng=None,
 
 
 def _certify_decomposable(field, coords):
-    omega = MultiVector.from_vector(field, 3, [field.from_int(c) for c in coords])
+    omega = MultiVector.from_vector(field, 3, [field.from_int(int(c)) for c in coords])
     ok, witness = is_decomposable(omega)
     if not ok:
         raise AssertionError("batched decomposability disagrees with the exact test")

@@ -57,3 +57,16 @@ def test_criterion_09_dual_k3():
 
 def test_criterion_10_hilb_ledger():
     _report(acceptance.criterion_10_hilb_ledger())
+
+
+def test_criterion_09_retry_budget_fails_promptly(monkeypatch):
+    def degenerate(*args, **kwargs):
+        raise acceptance.dualk3.DegenerateConfiguration("pair endpoints coincide")
+
+    monkeypatch.setattr(acceptance.dualk3, "phi", degenerate)
+    result = acceptance.criterion_9_dual_k3()
+    assert not result.passed
+    failed = [c for c in result.checks if not c["passed"]]
+    assert [c["name"] for c in failed] == ["pair images: degenerate draws within the retry budget"]
+    assert failed[0]["detail"] == {"retries": acceptance.DUALK3_RETRY_BUDGET, "successes": 0}
+    assert result.elapsed_ms < 60_000

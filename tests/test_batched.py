@@ -195,3 +195,99 @@ def test_f_space_dims_against_exact_intersection():
     for i in range(40):
         w = MultiVector.from_vector(field, 1, [field.from_int(int(x)) for x in ws[i]])
         assert dims[i] == intersection_dim(A, f_space(w))
+
+
+PRIMES_TO_CAP = [q for q in range(2, batched.MAX_PRIME + 1)
+                 if all(q % d for d in range(2, int(q ** 0.5) + 1))]
+
+
+def test_plucker_relations_span_35_mod_every_prime():
+    rels = batched.plucker_relations()
+    iu = np.triu_indices(20)
+    for p in PRIMES_TO_CAP:
+        assert pure_rank([[int(x) % p for x in U[iu]] for U in rels], GF(p)) == 35
+        assert batched.restricted_quadrics(np.eye(20, dtype=np.int64), p).shape == (35, 20, 20)
+
+
+def test_plucker_relations_against_sympy():
+    # independent oracle: the relations vanish on the 3x3 minors of a generic
+    # 3x6 matrix, and mod p they span all 210 - 175 quadrics that do
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.matrices import DomainMatrix
+    from lagstrata.exterior import SUBSETS
+    X = sympy.Matrix(3, 6, lambda i, j: sympy.Symbol(f"x{i}{j}"))
+    minors = [sympy.Poly(X[:, [c - 1 for c in I]].det(), *X) for I in SUBSETS[3]]
+    iu = list(zip(*np.triu_indices(20)))
+    rels = batched.plucker_relations()
+    for U in rels:
+        assert sum((int(U[a, b]) * minors[a] * minors[b] for a, b in iu if U[a, b]),
+                   sympy.Poly(0, *X)).is_zero
+    prods = [minors[a] * minors[b] for a, b in iu]
+    monos = {m: i for i, m in enumerate(sorted({m for q in prods for m in q.monoms()}))}
+    coeffs = [[int(U[a, b]) for a, b in iu] for U in rels]
+    for p in (2, 3, 5, 181):
+        Fp = sympy.GF(p)
+        img = {r: {monos[m]: Fp(int(c)) for m, c in q.terms() if int(c) % p}
+               for r, q in enumerate(prods)}
+        assert DomainMatrix(img, (210, len(monos)), Fp).rank() == 175
+        assert DomainMatrix(coeffs, (len(rels), 210), sympy.ZZ).convert_to(Fp).rank() == 35
+
+
+def _wedge3(field, vecs):
+    from lagstrata.exterior import MultiVector, wedge
+    u, v, w = (MultiVector.from_vector(field, 1, [field.from_int(int(x)) for x in r])
+               for r in vecs)
+    return [int(x) for x in wedge(wedge(u, v), w).to_vector()]
+
+
+def _exact_decomposable(field, omega):
+    from lagstrata.exterior import MultiVector
+    from lagstrata.lagrangian import is_decomposable
+    return is_decomposable(MultiVector.from_vector(field, 3, [int(x) for x in omega]))[0]
+
+
+@settings(max_examples=30, deadline=None)
+@given(p=st.sampled_from([2, 3, 5, 7, 181]), d=st.integers(1, 10),
+       seed=st.integers(0, 2**32 - 1))
+def test_quadric_zeros_match_exact_decomposability(p, d, seed):
+    field = GF(p)
+    rng = np.random.default_rng(seed)
+    rows = rng.integers(0, p, size=(d, 20))
+    # plant decomposables: u1^u2^v and u1^u2^w span a line of them
+    u1, u2, v, w = rng.integers(0, p, size=(4, 6))
+    rows[0] = _wedge3(field, (u1, u2, v))
+    if d > 1:
+        rows[1] = _wedge3(field, (u1, u2, w))
+    points = rng.integers(0, p, size=(60, d))
+    points[::3, 2:] = 0
+    points[1] = 0
+    zeros = batched.quadric_zeros(points, batched.restricted_quadrics(rows, p), p)
+    omegas = points @ rows % p
+    expected = [i for i, om in enumerate(omegas)
+                if not om.any() or _exact_decomposable(field, om)]
+    assert zeros.tolist() == expected
+    mask = batched.decomposable_mask(omegas, p)
+    assert np.flatnonzero(mask).tolist() == [i for i in expected if omegas[i].any()]
+
+
+@pytest.mark.parametrize("d", [20, 64])
+def test_quadric_zeros_at_the_float32_edge(d):
+    # at p = 181 the sums reach d (p - 1)^2: 64 * 180^2 = 2,073,600 < 2^21
+    p = 181
+    rng = np.random.default_rng(d)
+    forms = np.triu(rng.integers(p - 3, p, size=(1, d, d))).astype(np.float32)
+    points = rng.integers(p - 3, p, size=(4000, d))
+    points[:, -1] = rng.integers(0, p, size=4000)
+    # int64 is exact here: every value is below d^2 (p - 1)^3 < 2^35
+    exact = np.flatnonzero((points @ forms[0].astype(np.int64) * points).sum(axis=1) % p == 0)
+    got = batched.quadric_zeros(points, forms, p)
+    assert exact.size > 0 and got.tolist() == exact.tolist()
+
+
+def test_quadric_zeros_bound_refused_past_the_edge():
+    p = 181
+    batched.check_exact(p, terms=64)
+    with pytest.raises(ValueError):
+        batched.check_exact(p, terms=65)  # 65 * 180^2 = 2,106,000 > 2^21
+    with pytest.raises(ValueError):
+        batched.quadric_zeros(np.zeros((1, 65)), np.zeros((1, 65, 65), dtype=np.float32), p)

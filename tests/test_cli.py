@@ -109,3 +109,15 @@ def test_accept_all_aggregates_fast_criteria():
     ids = [c["criterion"] for c in doc["results"]["criteria"]]
     assert ids == [1, 2, 3, 4, 10]
     assert doc["passed"] is True
+
+
+@pytest.mark.parametrize("args, code", [
+    (("census", "--prime", "4"), 2),
+    (("census", "--prime", "17"), 3),
+])
+def test_error_reports_do_not_pass(args, code):
+    res = invoke(*args, "--json-only")
+    assert res.exit_code == code
+    doc = parse(res)
+    assert "error" in doc["results"]
+    assert doc["assertions"] == [] and doc["passed"] is False

@@ -181,6 +181,13 @@ def test_sigma_probe_sampling_mode():
         sigma_probe(A)  # sampling regime requires an rng
 
 
+def test_sigma_verdicts_over_p2_seeds():
+    # pinned to the verdicts of the earlier 15x6 rank test on the same draws
+    found = sum(sigma_probe(random_graph_lagrangian(GF(2), random.Random(s))).found
+                for s in range(200))
+    assert found == 138
+
+
 def test_sample_lg1_budget_error():
     with pytest.raises(BudgetExceededError):
         sample_lg1(2, seed=0, max_attempts=1)

@@ -293,8 +293,9 @@ def _upper(G: np.ndarray) -> np.ndarray:
 def plucker_relations() -> np.ndarray:
     """The quadrics sum_k (-1)^k p_{i1 i2 j_k} p_{J - j_k} (J a 4-set, p
     alternating), nonzero and distinct up to sign, as upper-triangular forms
-    on the 20 trivector coordinates: (45, 20, 20), spanning 35 dimensions."""
-    rels = np.zeros((15, 15, 20, 20), dtype=np.int64)
+    on the 20 trivector coordinates: (45, 20, 20) int64, spanning 35
+    dimensions.  The entries are 0 and +-1, so the table is built in int8."""
+    rels = np.zeros((15, 15, 20, 20), dtype=np.int8)
     for a, I in enumerate(SUBSETS[2]):
         for b, J in enumerate(SUBSETS[4]):
             for k, j in enumerate(J):
@@ -303,7 +304,10 @@ def plucker_relations() -> np.ndarray:
     rels = _upper(rels.reshape(225, 20, 20)).reshape(225, 400)
     rels = rels[rels.any(axis=1)]
     rels *= np.sign(rels[np.arange(len(rels)), np.argmax(rels != 0, axis=1)])[:, None]
-    return np.unique(rels, axis=0).reshape(-1, 20, 20)
+    # sorted distinct rows, as np.unique(axis=0) gives them without importing numpy.ma
+    rels = rels[np.lexsort(rels.T[::-1])]
+    rels = rels[np.r_[True, (rels[1:] != rels[:-1]).any(axis=1)]]
+    return rels.reshape(-1, 20, 20).astype(np.int64)
 
 
 def restricted_quadrics(rows: np.ndarray, p: int) -> np.ndarray:

@@ -20,7 +20,11 @@ truncated power-series ring.
 from __future__ import annotations
 
 from itertools import combinations
+from math import lcm
 
+import numpy as np
+
+from . import batched
 from .exterior import MultiVector, wedge
 from .linalg import (LinearSubspace, rank, right_nullspace, mat_mul, transpose,
                      symmetric_with_kernel)
@@ -28,6 +32,10 @@ from .lagrangian import (LagrangianFrame, tangent_space,
                          graph_of, lagrangian_from_graph, is_decomposable,
                          NotTransverseError, random_subspace)
 from .unipoly import PolyRing
+
+
+# kernels over QQ are certified mod this prime
+CERTIFICATE_PRIME = 101
 
 
 class ChartPreconditionError(ValueError):
@@ -351,49 +359,47 @@ def vanishing_order(A: LinearSubspace, level: int, direction, max_order: int = 8
 def decomposable_point_in(field, coords_rows, rng=None, samples: int = 200):
     """Search P(K) for a decomposable trivector, K given in chart coordinates.
 
-    Exhaustive for prime fields with at most 7 elements, sampled otherwise.
-    Returns a witness coordinate vector or None.
+    First a certificate: when the Pluecker quadrics restricted to K span all
+    k(k+1)/2 quadratic forms on K mod p, P(K) misses G(3,6) over the algebraic
+    closure and the answer is None.  Over F_p this uses p; over QQ each
+    trivector row is scaled to integers and reduced mod CERTIFICATE_PRIME,
+    still a certificate since the rank mod p is at most the rank over QQ.
+    Otherwise P(K) is searched, exhaustively by the same quadrics for prime
+    fields with at most 7 elements, by sampling otherwise.  Returns a witness
+    coordinate vector confirmed by the exact test, or None.
     """
-    frame = chart_frame(field)
     k = len(coords_rows)
     if k == 0:
         return None
-
-    def to_trivector(coeffs):
-        vec = [field.zero] * 20
-        for c, row in zip(coeffs, coords_rows):
-            if field.is_zero(c):
-                continue
-            for t in range(10):
-                if field.is_zero(row[t]):
-                    continue
-                base = frame.l0_rows[t]
-                for m in range(20):
-                    vec[m] = field.add(vec[m], field.mul(field.mul(c, row[t]), base[m]))
-        return vec
+    tri = mat_mul(coords_rows, chart_frame(field).l0_rows, field)
+    p = field.characteristic or CERTIFICATE_PRIME
+    if not field.characteristic:
+        tri_int = []
+        for row in tri:
+            scale = lcm(*(x.denominator for x in row))
+            tri_int.append([x.numerator * (scale // x.denominator) for x in row])
+    else:
+        tri_int = tri
+    forms = batched.restricted_quadrics(
+        np.array([[x % p for x in row] for row in tri_int], dtype=np.int64), p)
+    if len(forms) == k * (k + 1) // 2:
+        return None
 
     def check(coeffs):
-        vec = to_trivector(coeffs)
+        vec = mat_mul([coeffs], tri, field)[0]
         if all(field.is_zero(x) for x in vec):
             return None
         ok, _ = is_decomposable(MultiVector.from_vector(field, 3, vec))
         return list(coeffs) if ok else None
 
-    p = field.characteristic
-    if p and p <= 7:
-        def rec(prefix):
-            if len(prefix) == k:
-                if any(not field.is_zero(c) for c in prefix):
-                    return check(prefix)
-                return None
-            lead_done = any(not field.is_zero(c) for c in prefix)
-            choices = list(field.elements()) if lead_done else [0, 1]
-            for c in choices:
-                hit = rec(prefix + [field.from_int(c)])
+    if p <= 7:
+        for desc in batched.projective_block_descriptors(k, p):
+            combos = batched.build_projective_block(desc, k, p)
+            for i in batched.quadric_zeros(combos, forms, p):
+                hit = check([field.from_int(int(c)) for c in combos[i]])
                 if hit:
                     return hit
-            return None
-        return rec([])
+        return None
     if rng is None:
         raise ValueError("sampled decomposability check needs an rng")
     for _ in range(samples):
@@ -410,9 +416,10 @@ def kernel_restriction_rank(A: LinearSubspace, rng=None, samples: int = 200) -> 
     """Rank of B -> (linear part of Q(B)) restricted to K = A ∩ T_U0.
 
     K must be at most 3-dimensional and P(K) free of decomposable vectors
-    (checked exhaustively over small prime fields, by sampling otherwise);
-    under those conditions the map from the 9 chart directions onto the
-    quadratic forms on K is surjective, so the rank is k(k+1)/2.
+    (certified by the restricted Pluecker quadrics in decomposable_point_in,
+    else searched exhaustively over small prime fields and by sampling
+    otherwise); under those conditions the map from the 9 chart directions
+    onto the quadratic forms on K is surjective, so the rank is k(k+1)/2.
     """
     field = A.field
     K = chart_kernel_coords(A)
@@ -436,7 +443,9 @@ def plant_corank(field, k: int, rng, decomposable_free: bool = False,
     """Random Lagrangian transverse to T_Uinf with dim(A ∩ T_U0) = k.
 
     Returns (A, kernel_coords).  With ``decomposable_free`` the kernel is
-    re-drawn until the sampled decomposability probe finds nothing.
+    re-drawn until decomposable_point_in finds no decomposable point; a
+    generic kernel is certified by the restricted Pluecker quadrics and
+    consumes nothing from ``rng`` there.
     """
     frame = chart_frame(field)
     for _ in range(max_tries):

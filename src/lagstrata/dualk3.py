@@ -151,17 +151,6 @@ class SpecialLagrangianData:
     alpha_basis: list            # particular preimages of the K-perp basis
     gram_star: list              # 7x7 polar matrix of the extra quadric
 
-    def q_map(self, alpha_coords):
-        """Image coordinates of alpha under the symmetric map."""
-        f = self.field
-        out = [f.zero] * 10
-        for i, a in enumerate(alpha_coords):
-            if f.is_zero(a):
-                continue
-            row = self.ytil[i]
-            out = [f.add(out[t], f.mul(a, row[t])) for t in range(10)]
-        return out
-
     def kperp_coords_of(self, beta_coords):
         c = self.kperp.coordinates_of(beta_coords)
         if c is None:

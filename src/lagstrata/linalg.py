@@ -203,9 +203,6 @@ class LinearSubspace:
             return all(self.field.is_zero(x) for x in vec)
         return rank(list(self.rows) + [list(vec)], self.field) == self.dim
 
-    def contains_subspace(self, other) -> bool:
-        return all(self.contains(r) for r in other.rows)
-
     def coordinates_of(self, vec):
         """Coefficients of ``vec`` in the echelon basis, or None."""
         if self.dim == 0:

@@ -30,9 +30,6 @@ class PolyRing:
     def one(self):
         return (self.field.one,)
 
-    def gen(self):
-        return (self.field.zero, self.field.one)
-
     def const(self, c):
         return () if self.field.is_zero(c) else (c,)
 

@@ -209,6 +209,15 @@ def test_plucker_relations_span_35_mod_every_prime():
         assert batched.restricted_quadrics(np.eye(20, dtype=np.int64), p).shape == (35, 20, 20)
 
 
+def test_plucker_relations_bytes_pinned():
+    # the int8 build must hand back the same int64 table, byte for byte
+    import hashlib
+    rels = batched.plucker_relations()
+    assert rels.dtype == np.int64 and rels.shape == (45, 20, 20)
+    assert hashlib.sha256(rels.tobytes()).hexdigest() == (
+        "ebb0acee7c0a82e4532c3f4ac9c43124c8ef7fe9cd79aafaa6ea72c72ad4317e")
+
+
 def test_plucker_relations_against_sympy():
     # independent oracle: the relations vanish on the 3x3 minors of a generic
     # 3x6 matrix, and mod p they span all 210 - 175 quadrics that do

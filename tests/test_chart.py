@@ -1,17 +1,24 @@
 import random
+from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from lagstrata import batched
+from lagstrata.exterior import MultiVector
 from lagstrata.fields import QQ, GF
-from lagstrata.linalg import mat_eq, rank
+from lagstrata.linalg import mat_eq, mat_mul, rank
 from lagstrata.strata import stratum
 from lagstrata.chart import (chart_frame, chart_subspace, chart_point_of,
                              chart_quadric, graph_matrix_of_tangent,
                              chart_kernel_coords,
                              linear_part_matrices, local_equations,
                              vanishing_order, kernel_restriction_rank,
-                             plant_corank, ChartPreconditionError)
-from lagstrata.lagrangian import NotTransverseError, lagrangian_from_graph
+                             plant_corank, decomposable_point_in,
+                             ChartPreconditionError)
+from lagstrata.lagrangian import (NotTransverseError, lagrangian_from_graph,
+                                  is_decomposable, random_subspace)
 
 F101 = GF(101)
 
@@ -179,3 +186,126 @@ def test_kernel_restriction_requires_small_kernel():
     A = lagrangian_from_graph(chart_frame(field), M)
     with pytest.raises(ChartPreconditionError):
         kernel_restriction_rank(A, rng=rng)
+
+
+# --- decomposable_point_in: quadric certificate and its fallbacks ---
+
+def _trivector(field, coeffs, rows):
+    vec = mat_mul([coeffs], mat_mul(rows, chart_frame(field).l0_rows, field), field)[0]
+    return MultiVector.from_vector(field, 3, vec)
+
+
+def _enumerated_witness(field, rows):
+    # reference without quadrics: enumerate P(K) over F_p, one exact test
+    # per point
+    k = len(rows)
+
+    def rec(prefix):
+        if len(prefix) == k:
+            if all(field.is_zero(c) for c in prefix):
+                return None
+            omega = _trivector(field, prefix, rows)
+            return list(prefix) if omega.coords and is_decomposable(omega)[0] else None
+        lead_done = any(not field.is_zero(c) for c in prefix)
+        for c in (list(field.elements()) if lead_done else [0, 1]):
+            hit = rec(prefix + [field.from_int(c)])
+            if hit:
+                return hit
+        return None
+    return rec([])
+
+
+def _certified(field, rows):
+    p = field.characteristic
+    tri = np.array(mat_mul(rows, chart_frame(field).l0_rows, field), dtype=np.int64) % p
+    k = len(rows)
+    return len(batched.restricted_quadrics(tri, p)) == k * (k + 1) // 2
+
+
+def _rank_one_point(field, rng):
+    # e123 + sum b_ij D_ij with rank(B) <= 1 is the wedge of the rows of
+    # [I | B], whose 2x2 minors all vanish: a decomposable chart vector
+    u = [field.random(rng) for _ in range(3)]
+    v = [field.random(rng) for _ in range(3)]
+    return [field.one] + [field.mul(u[i], v[j]) for i in range(3) for j in range(3)]
+
+
+@settings(max_examples=240, deadline=None)
+@given(p=st.sampled_from([2, 3, 5, 7]), k=st.integers(1, 3), plant=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+def test_decomposable_point_in_small_fields_match_enumeration(p, k, plant, seed):
+    field = GF(p)
+    rng = random.Random(seed)
+    while True:
+        rows = [list(r) for r in random_subspace(field, 10, k, rng).rows]
+        if plant:
+            rows[0] = _rank_one_point(field, rng)
+        if rank(rows, field) == k:
+            break
+    reference = _enumerated_witness(field, rows)
+    got = decomposable_point_in(field, rows)
+    if _certified(field, rows):
+        assert got is None and reference is None
+    assert (got is None) == (reference is None)
+    if got is not None:
+        assert is_decomposable(_trivector(field, got, rows))[0]
+
+
+@pytest.mark.parametrize("field", [QQ, F101], ids=["QQ", "F101"])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_decomposable_point_in_never_certifies_a_planted_point(field, k):
+    for seed in range(5):
+        rng = random.Random(1000 * k + seed)
+        point = [field.one] + [field.zero] * 9 if seed == 0 else _rank_one_point(field, rng)
+        assert is_decomposable(_trivector(field, [field.one], [point]))[0]
+        rows = [point] + [list(r) for r in random_subspace(field, 10, k - 1, rng).rows]
+        if rank(rows, field) < k:
+            continue
+        # only the sampled search needs an rng: a certificate would return None
+        with pytest.raises(ValueError, match="needs an rng"):
+            decomposable_point_in(field, rows)
+        if k == 1:
+            assert decomposable_point_in(field, rows, rng=rng, samples=3) is not None
+
+
+def _huge_basis(rows, rng):
+    # the same P(K) in a basis with numerators and denominators above 2^63
+    big = 2**64
+    M = [[Fraction(big * rng.randrange(1, 9) + rng.randrange(9), big + 2 * j + 1)
+          for j in range(len(rows))] for _ in rows]
+    return [[sum((m * r[t] for m, r in zip(Mi, rows)), QQ.zero) for t in range(10)]
+            for Mi in M]
+
+
+def test_decomposable_point_in_huge_rationals():
+    rng = random.Random(17)
+    rows = [list(r) for r in random_subspace(QQ, 10, 3, rng).rows]
+    huge = _huge_basis(rows, rng)
+    assert rank(huge, QQ) == 3
+    assert min(abs(x.numerator) for row in huge for x in row) > 2**63
+    assert decomposable_point_in(QQ, huge, rng=random.Random(0), samples=5) is None
+    # every row carries its own denominators, so skipping any of them breaks
+    # the planted point: the certificate must still refuse this kernel
+    planted = _huge_basis([_rank_one_point(QQ, rng)] + rows[:2], rng)
+    assert rank(planted, QQ) == 3
+    with pytest.raises(ValueError, match="needs an rng"):
+        decomposable_point_in(QQ, planted)
+    line = _huge_basis([_rank_one_point(QQ, rng)], rng)
+    assert decomposable_point_in(QQ, line, rng=random.Random(0), samples=5) is not None
+
+
+def test_criterion_7_kernels_all_certified(monkeypatch):
+    # with rng=None every call must be answered by the certificate: the
+    # sampled search would raise
+    from lagstrata import acceptance, chart
+    calls = []
+    certify = chart.decomposable_point_in
+
+    def certified_only(field, rows, rng=None, samples=200):
+        calls.append(certify(field, rows))
+        return calls[-1]
+
+    monkeypatch.setattr(chart, "decomposable_point_in", certified_only)
+    result = acceptance.criterion_7_restriction_rank()
+    assert result.passed
+    assert len(calls) == 100 and all(c is None for c in calls)

@@ -3,7 +3,9 @@ the command line.
 
 Every check records its expected value, the computed value, and a source
 tag; all numeric comparisons are exact.  Randomized criteria fix their
-seeds here so the suite is reproducible run to run.
+seeds here so the suite is reproducible run to run.  Each criterion also
+fills ``results`` with the values the command line reports, so a paper
+integer is stated once, in its check.
 """
 
 from __future__ import annotations
@@ -30,15 +32,17 @@ SEED_CENSUS_P3 = 1
 SEEDS_LG1_P5 = (11, 23, 31)
 SEED_DUALK3 = 7
 SEED_DUALK3_RNG = 1105
-DUALK3_RETRY_BUDGET = 200   # degenerate redraws allowed per criterion-9 stage
+DUALK3_RETRY_BUDGET = 200   # degenerate draws in a row before a dual-K3 stage gives up
 
 
 @dataclass
 class CriterionResult:
+    """The one check record, of a criterion and of every CLI report."""
     cid: int
     name: str
     checks: list = dc_field(default_factory=list)
     elapsed_ms: float = 0.0
+    results: dict = dc_field(default_factory=dict)
 
     def check(self, name, expected, actual, source):
         ok = expected == actual
@@ -54,7 +58,8 @@ class CriterionResult:
 
     @property
     def passed(self) -> bool:
-        return all(c["passed"] for c in self.checks)
+        """False for an error report (exit 2 or 3), whatever its checks."""
+        return "error" not in self.results and all(c["passed"] for c in self.checks)
 
     def to_json(self):
         return {"criterion": self.cid, "name": self.name, "passed": self.passed,
@@ -77,10 +82,12 @@ def _timed(fn):
 def criterion_1_degrees() -> CriterionResult:
     r = CriterionResult(1, "degrees of the strata and of G(3,6)")
     degs = schubert.stratum_degrees()
+    deg_g36 = schubert.g36_degree()
+    r.results = {"D1": degs[1], "D2": degs[2], "D3": degs[3], "degG36": deg_g36}
     r.check("deg stratum-1", 168, degs[1], "paper")
     r.check("deg stratum-2", 480, degs[2], "paper")
     r.check("deg stratum-3", 720, degs[3], "paper")
-    r.check("deg G(3,6)", 42, schubert.g36_degree(), "paper")
+    r.check("deg G(3,6)", 42, deg_g36, "paper")
     return r
 
 
@@ -96,6 +103,10 @@ def criterion_2_class_decomposition() -> CriterionResult:
 def criterion_3_connectedness() -> CriterionResult:
     r = CriterionResult(3, "connectedness diophantine system")
     eqs, sols, info = schubert.connectedness_check()
+    r.results = {"solutions": [list(s) for s in sols],
+                 "equations": [{str(k): v for k, v in eq.items()} for eq in eqs],
+                 "bounding_combination": info["combo"],
+                 "combo_denominator": info["combo_denominator"]}
     r.check("integer solutions", [(0, 0, 0), (16, 12, 12)], sols, "paper")
     r.check_true("printed first equation lies in the span of the system",
                  info["combo"] is not None, "paper",
@@ -110,6 +121,8 @@ def criterion_3_connectedness() -> CriterionResult:
 def criterion_4_exceptional() -> CriterionResult:
     r = CriterionResult(4, "exceptional-divisor coefficient in LG(10,20)")
     res = schubert.exceptional_coefficient(10)
+    r.results = {"b": res["b"],
+                 **{k: str(res[k]) for k in ("X", "Y", "Z", "deg_sigma_n2_n")}}
     r.check("b", -2, res["b"], "paper")
     r.check_true("deg sigma_(n-2,n) positive", res["deg_sigma_n2_n"] > 0, "paper",
                  detail={"deg": res["deg_sigma_n2_n"]})
@@ -119,25 +132,30 @@ def criterion_4_exceptional() -> CriterionResult:
 
 
 @_timed
-def criterion_5_chart_identity() -> CriterionResult:
+def criterion_5_chart_identity(seed: int = SEED_CHART_IDENTITY,
+                               trials: int = 100) -> CriterionResult:
     r = CriterionResult(5, "chart quadric equals the graph matrix")
     failures = {"rational": 0, "F101": 0}
-    rng = random.Random(SEED_CHART_IDENTITY)
+    rng = random.Random(seed)
     for key, field in (("rational", QQ), ("F101", GF(101))):
-        for _ in range(100):
+        for _ in range(trials):
             B = [[field.random(rng) for _ in range(3)] for _ in range(3)]
             if not mat_eq(chart_quadric(B, field), graph_matrix_of_tangent(field, B), field):
                 failures[key] += 1
-    r.check("failures over the rationals (100 trials)", 0, failures["rational"], "derived")
-    r.check("failures over F_101 (100 trials)", 0, failures["F101"], "derived")
+    r.results = {"identity_trials": 2 * trials,
+                 "identity_failures": sum(failures.values())}
+    r.check(f"failures over the rationals ({trials} trials)", 0, failures["rational"],
+            "derived")
+    r.check(f"failures over F_101 ({trials} trials)", 0, failures["F101"], "derived")
     return r
 
 
 @_timed
-def criterion_6_tangent_cone() -> CriterionResult:
+def criterion_6_tangent_cone(seed: int = SEED_TANGENT_CONE) -> CriterionResult:
     r = CriterionResult(6, "tangent-cone vanishing orders")
+    r.results["orders"] = []
     field = QQ
-    rng = random.Random(SEED_TANGENT_CONE)
+    rng = random.Random(seed)
     for k in (2, 3):
         A, _ = plant_corank(field, k, rng, decomposable_free=True)
         orders = {level: [] for level in range(1, k + 1)}
@@ -150,20 +168,22 @@ def criterion_6_tangent_cone() -> CriterionResult:
                 orders[level].append(None if any(v is None for v in chosen)
                                      else sum(chosen))
         for level in range(1, k + 1):
+            r.results["orders"].append({"k": k, "l": level, "orders": orders[level]})
             r.check(f"orders k={k} level={level} (10 directions)",
                     [k - level + 1] * 10, orders[level], "paper")
     return r
 
 
 @_timed
-def criterion_7_restriction_rank() -> CriterionResult:
+def criterion_7_restriction_rank(seed: int = SEED_RESTRICTION) -> CriterionResult:
     r = CriterionResult(7, "surjectivity rank of the kernel restriction")
     field = QQ
-    rng = random.Random(SEED_RESTRICTION)
+    rng = random.Random(seed)
     ranks = []
     for _ in range(50):
         A, _ = plant_corank(field, 3, rng, decomposable_free=True)
         ranks.append(kernel_restriction_rank(A, rng=rng, samples=40))
+    r.results = {"restriction_ranks": ranks}
     r.check("rank over 50 rank-7 plantings", [6] * 50, ranks, "paper")
     return r
 
@@ -198,80 +218,142 @@ def criterion_8_census(threads: int = 2) -> CriterionResult:
 
 
 def _redraw(r: CriterionResult, stage: str, count: int, draw):
-    """``count`` results of ``draw``, or None once the redraws exhaust the budget."""
-    out, retries = [], 0
+    """``count`` results of ``draw``, and the number of degenerate draws redrawn.
+
+    A draw is degenerate when it raises DegenerateConfiguration or returns
+    None.  After DUALK3_RETRY_BUDGET degenerate draws in a row the stage
+    gives up: ``r`` gets a failed check and an ``error``, and the results
+    are None.
+    """
+    out, retries, in_a_row = [], 0, 0
     while len(out) < count:
         try:
-            out.append(draw())
+            got = draw()
         except dualk3.DegenerateConfiguration:
-            retries += 1
-            if retries == DUALK3_RETRY_BUDGET:
-                r.check_true(f"{stage}: degenerate draws within the retry budget", False,
-                             "derived", detail={"retries": retries, "successes": len(out)})
-                return None
-    return out
+            got = None
+        if got is not None:
+            out.append(got)
+            in_a_row = 0
+            continue
+        retries += 1
+        in_a_row += 1
+        if in_a_row == DUALK3_RETRY_BUDGET:
+            r.results["error"] = f"{stage}: {in_a_row} degenerate draws in a row"
+            r.check_true(f"{stage}: degenerate draws within the retry budget", False,
+                         "derived", detail={"retries": retries, "successes": len(out)})
+            return None, retries
+    return out, retries
+
+
+def _records(rows, retries):
+    return {"records": [{"trial": i, **row} for i, row in enumerate(rows)],
+            "retries": retries}
+
+
+def _points(data, rng, n):
+    return [dualk3.sample_s_a_point(data, rng) for _ in range(n)]
+
+
+def dualk3_phi(data, rng, trials: int = 50) -> CriterionResult:
+    """Pair images land on the degeneracy sextic."""
+    r = CriterionResult(9, "dual-K3 pair images")
+    phis, retries = _redraw(r, "pair images", trials,
+                            lambda: dualk3.phi(data, *_points(data, rng, 2)))
+    if phis is None:
+        return r
+    dims = [dualk3.phi_sextic_dim(data, ph) for ph in phis]
+    want = 1
+    r.results = _records([{"phi": [data.field.to_str(x) for x in ph], "sextic_dim": d,
+                           "passed": d == want} for ph, d in zip(phis, dims)], retries)
+    r.check(f"pair-image sextic dims ({trials} trials)", [want] * trials, dims, "paper")
+    return r
+
+
+def dualk3_psi(data, rng, trials: int = 50) -> CriterionResult:
+    """Triple images land on the stratum-2 locus."""
+    r = CriterionResult(9, "dual-K3 triple images")
+    psis, retries = _redraw(r, "triple images", trials,
+                            lambda: dualk3.psi(data, *_points(data, rng, 3)))
+    if psis is None:
+        return r
+    strata = [dualk3.psi_stratum(data, ps) for ps in psis]
+    want = 2
+    r.results = _records([{"psi": ps.to_json(), "stratum": s, "passed": s == want}
+                          for ps, s in zip(psis, strata)], retries)
+    r.check(f"triple-image strata ({trials} trials)", [want] * trials, strata, "paper")
+    return r
+
+
+def dualk3_newsystem(data, rng, trials: int = 50) -> CriterionResult:
+    """The adapted 18-equation system has rank 4 and a 2-dimensional solution space."""
+    r = CriterionResult(9, "dual-K3 adapted systems")
+    systems, retries = _redraw(
+        r, "adapted systems", trials,
+        lambda: dualk3.newsystem_dimension(data, *_points(data, rng, 3), rng))
+    if systems is None:
+        return r
+    want = {"rank": 4, "solution_dim": 2, "stratum": 2, "x_zero_solutions": 0}
+    r.results = _records([{**{k: res[k] for k in want},
+                           "passed": all(res[k] == v for k, v in want.items())}
+                          for res in systems], retries)
+    r.check(f"adapted-system ranks ({trials} triples)", [want["rank"]] * trials,
+            [res["rank"] for res in systems], "paper")
+    r.check("adapted-system solution dims vs stratum",
+            [(want["solution_dim"], want["stratum"])] * trials,
+            [(res["solution_dim"], res["stratum"]) for res in systems], "paper")
+    r.check("solutions with x = 0", [want["x_zero_solutions"]] * trials,
+            [res["x_zero_solutions"] for res in systems], "paper")
+    return r
+
+
+def dualk3_residual(data, rng, trials: int = 20) -> CriterionResult:
+    """Residual triples share their image with the original triple."""
+    r = CriterionResult(9, "dual-K3 residual triples")
+
+    def draw():
+        trio = _points(data, rng, 3)
+        out = dualk3.residual_triple(data, *trio, rng)
+        return out and (trio, *out)
+
+    triples, retries = _redraw(r, "residual triples", trials, draw)
+    if triples is None:
+        return r
+    want_distinct = 6
+    rows, verified = [], []
+    for trio, gammas, info in triples:
+        verified.append(all(dualk3.verify_surface_point(data, g) for g in gammas))
+        same = dualk3.psi(data, *trio) == dualk3.psi(data, *gammas)
+        pts = {tuple(p.beta) for p in trio} | {tuple(g.beta) for g in gammas}
+        rows.append({"psi_equal": same, "distinct_points": len(pts),
+                     "curve_points": info["curve_points"],
+                     "passed": same and len(pts) == want_distinct and verified[-1]})
+    r.results = _records(rows, retries)
+    r.check_true(f"at least {trials} residual-triple successes", len(rows) >= trials,
+                 "paper", detail={"successes": len(rows), "attempts": len(rows) + retries})
+    r.check_true("residual pairs share their image", all(x["psi_equal"] for x in rows),
+                 "paper")
+    r.check_true("six distinct points per configuration",
+                 all(x["distinct_points"] == want_distinct for x in rows), "paper")
+    r.check_true("residual points verified on the surface", all(verified), "trivial")
+    return r
+
+
+DUALK3_STAGES = {"phi": dualk3_phi, "psi": dualk3_psi,
+                 "newsystem": dualk3_newsystem, "residual": dualk3_residual}
 
 
 @_timed
 def criterion_9_dual_k3() -> CriterionResult:
+    """Every dual-K3 stage in turn, at its default size, from one rng."""
     r = CriterionResult(9, "dual-K3 suite over F_101")
     data = dualk3.build_special_a(p=101, seed=SEED_DUALK3)
     rng = random.Random(SEED_DUALK3_RNG)
-
-    def points(n):
-        return [dualk3.sample_s_a_point(data, rng) for _ in range(n)]
-
-    phis = _redraw(r, "pair images", 50, lambda: dualk3.phi(data, *points(2)))
-    if phis is None:
-        return r
-    r.check("pair-image sextic dims (50 trials)", [1] * 50,
-            [dualk3.phi_sextic_dim(data, ph) for ph in phis], "paper")
-
-    psis = _redraw(r, "triple images", 50, lambda: dualk3.psi(data, *points(3)))
-    if psis is None:
-        return r
-    r.check("triple-image strata (50 trials)", [2] * 50,
-            [dualk3.psi_stratum(data, ps) for ps in psis], "paper")
-
-    systems = _redraw(r, "adapted systems", 50,
-                      lambda: dualk3.newsystem_dimension(data, *points(3), rng))
-    if systems is None:
-        return r
-    r.check("adapted-system ranks (50 triples)", [4] * 50,
-            [res["rank"] for res in systems], "paper")
-    r.check("adapted-system solution dims vs stratum", [(2, 2)] * 50,
-            [(res["solution_dim"], res["stratum"]) for res in systems], "paper")
-    r.check("solutions with x = 0", [0] * 50,
-            [res["x_zero_solutions"] for res in systems], "paper")
-
-    residual_ok = 0
-    attempts = 0
-    six_distinct = True
-    psi_equal = True
-    gammas_verified = True
-    while residual_ok < 20 and attempts < 400:
-        attempts += 1
-        trio = [dualk3.sample_s_a_point(data, rng) for _ in range(3)]
-        try:
-            out = dualk3.residual_triple(data, *trio, rng)
-        except dualk3.DegenerateConfiguration:
-            continue
-        if out is None:
-            continue
-        gammas, _ = out
-        if not all(dualk3.verify_surface_point(data, g) for g in gammas):
-            gammas_verified = False
-        if dualk3.psi(data, *trio) != dualk3.psi(data, *gammas):
-            psi_equal = False
-        pts = {tuple(p.beta) for p in trio} | {tuple(g.beta) for g in gammas}
-        if len(pts) != 6:
-            six_distinct = False
-        residual_ok += 1
-    r.check_true("at least 20 residual-triple successes", residual_ok >= 20,
-                 "paper", detail={"successes": residual_ok, "attempts": attempts})
-    r.check_true("residual pairs share their image", psi_equal, "paper")
-    r.check_true("six distinct points per configuration", six_distinct, "paper")
-    r.check_true("residual points verified on the surface", gammas_verified, "trivial")
+    for name, stage in DUALK3_STAGES.items():
+        part = stage(data, rng)
+        r.checks += part.checks
+        r.results[name] = part.results
+        if "error" in part.results:
+            break
     return r
 
 
@@ -284,6 +366,7 @@ def criterion_10_hilb_ledger() -> CriterionResult:
     r.check("q(H) for the degree-10 polarization", 10,
             schubert.hilb3_invariants(6, 1, 0)["q"], "trivial")
     led = schubert.dimension_ledger()
+    r.results = led
     r.check("dim F at (1,0)", 47, led["rows"][0]["dim_f1"], "paper")
     r.check("total at (1,0)", 53, led["rows"][0]["total_f1"], "paper")
     r.check("dim F at (2,3)", 29, led["rows"][3]["dim_f2"], "paper")

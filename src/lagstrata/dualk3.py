@@ -160,31 +160,11 @@ class SpecialLagrangianData:
     def q_star(self, beta_coords):
         """The quadric on K-perp induced by the symmetric map."""
         c = self.kperp_coords_of(beta_coords)
-        return self.q_star_on_coords(c)
-
-    def q_star_on_coords(self, c):
-        f = self.field
-        acc = f.zero
-        for a, ca in enumerate(c):
-            if f.is_zero(ca):
-                continue
-            row = self.gram_star[a]
-            for b, cb in enumerate(c):
-                if not f.is_zero(cb):
-                    acc = f.add(acc, f.mul(f.mul(ca, cb), row[b]))
-        return acc
+        return self.q_star_polar(c, c)
 
     def q_star_polar(self, c1, c2):
-        f = self.field
-        acc = f.zero
-        for a, ca in enumerate(c1):
-            if f.is_zero(ca):
-                continue
-            row = self.gram_star[a]
-            for b, cb in enumerate(c2):
-                if not f.is_zero(cb):
-                    acc = f.add(acc, f.mul(f.mul(ca, cb), row[b]))
-        return acc
+        return self.field.from_int(sum(ca * cb * g for ca, row in zip(c1, self.gram_star)
+                                       for cb, g in zip(c2, row)))
 
     def q_star_by_solve(self, beta_coords):
         """Oracle route: solve for a preimage and pair it with beta."""
@@ -331,25 +311,24 @@ def _conic_point(field, G):
                 acc += v[i] * G[i][j] * v[j]
         return acc % p
 
-    for z in (1,):
-        for x in range(p):
-            # solve q(x, y, z) = 0 as a quadratic in y
-            a = G[1][1] % p
-            b = (2 * (G[0][1] * x + G[1][2])) % p
-            c = (G[0][0] * x * x + 2 * G[0][2] * x + G[2][2]) % p
-            if a == 0:
-                if b != 0:
-                    y = (-c * pow(b, p - 2, p)) % p
-                    return [x % p, y, 1]
-                if c == 0:
-                    return [x % p, 0, 1]
-                continue
-            disc = (b * b - 4 * a * c) % p
-            r = tab[disc]
-            if r is None:
-                continue
-            y = ((-b + r) * pow(2 * a, p - 2, p)) % p
-            return [x % p, y, 1]
+    for x in range(p):
+        # solve q(x, y, 1) = 0 as a quadratic in y
+        a = G[1][1] % p
+        b = (2 * (G[0][1] * x + G[1][2])) % p
+        c = (G[0][0] * x * x + 2 * G[0][2] * x + G[2][2]) % p
+        if a == 0:
+            if b != 0:
+                y = (-c * pow(b, p - 2, p)) % p
+                return [x % p, y, 1]
+            if c == 0:
+                return [x % p, 0, 1]
+            continue
+        disc = (b * b - 4 * a * c) % p
+        r = tab[disc]
+        if r is None:
+            continue
+        y = ((-b + r) * pow(2 * a, p - 2, p)) % p
+        return [x % p, y, 1]
     # points with z = 0
     a, b, c = G[0][0] % p, (2 * G[0][1]) % p, G[1][1] % p
     if a == 0:
@@ -499,7 +478,7 @@ def _finish_point(data: SpecialLagrangianData, coords) -> SurfacePoint | None:
         kc = data.kperp_coords_of(coords)
     except ValueError:
         return None
-    if not f.is_zero(data.q_star_on_coords(kc)):
+    if not f.is_zero(data.q_star_polar(kc, kc)):
         return None
     for i in range(1, 6):
         if not f.is_zero(plucker_quadric(f, i, mv)):
@@ -647,9 +626,9 @@ def _adapt_basis(data: SpecialLagrangianData, p1: SurfacePoint, p2: SurfacePoint
     for ell in ells:
         row = []
         for bvec in U1.rows:
-            row.append(sum_field(f, [f.mul(ell[i], bvec[i]) for i in range(5)]))
+            row.append(f.from_int(sum(f.mul(ell[i], bvec[i]) for i in range(5))))
         for bvec in U2.rows:
-            row.append(sum_field(f, [f.mul(ell[i], bvec[i]) for i in range(5)]))
+            row.append(f.from_int(sum(f.mul(ell[i], bvec[i]) for i in range(5))))
         rows_sys.append(row)
     sols = right_nullspace(rows_sys, f)
     if not sols:
@@ -662,8 +641,8 @@ def _adapt_basis(data: SpecialLagrangianData, p1: SurfacePoint, p2: SurfacePoint
                 continue
             vec = [f.add(vec[i], f.mul(c, s[i])) for i in range(6)]
         x, y = vec[:3], vec[3:]
-        v3 = [sum_field(f, [f.mul(x[j], U1.rows[j][i]) for j in range(3)]) for i in range(5)]
-        v5 = [sum_field(f, [f.mul(y[j], U2.rows[j][i]) for j in range(3)]) for i in range(5)]
+        v3 = [f.from_int(sum(f.mul(x[j], U1.rows[j][i]) for j in range(3))) for i in range(5)]
+        v5 = [f.from_int(sum(f.mul(y[j], U2.rows[j][i]) for j in range(3))) for i in range(5)]
         basis = [v1, v2, v3, v4, v5]
         if rank(basis, f) != 5:
             continue
@@ -686,13 +665,6 @@ def _adapt_basis(data: SpecialLagrangianData, p1: SurfacePoint, p2: SurfacePoint
             raise AssertionError("adapted representatives do not match the points")
         return (v1, v2, v3, v4, v5), (b1, b2, b3)
     raise DegenerateConfiguration("could not adapt a basis to the triple")
-
-
-def sum_field(f, items):
-    acc = f.zero
-    for x in items:
-        acc = f.add(acc, x)
-    return acc
 
 
 def newsystem_dimension(data: SpecialLagrangianData, p1: SurfacePoint,
@@ -880,7 +852,7 @@ def residual_triple(data: SpecialLagrangianData, p1: SurfacePoint,
     ann = right_nullspace([list(r) for r in chord.rows], f)
 
     def restricted(ell):
-        return [sum_field(f, [f.mul(ell[i], spanC.rows[j][i]) for i in range(10)])
+        return [f.from_int(sum(f.mul(ell[i], spanC.rows[j][i]) for i in range(10)))
                 for j in range(4)]
 
     ells = None
@@ -901,8 +873,8 @@ def residual_triple(data: SpecialLagrangianData, p1: SurfacePoint,
         raise DegenerateConfiguration("no independent projection forms on the curve span")
 
     def param_of(coords):
-        l1 = sum_field(f, [f.mul(ells[0][i], coords[i]) for i in range(10)])
-        l2 = sum_field(f, [f.mul(ells[1][i], coords[i]) for i in range(10)])
+        l1 = f.from_int(sum(f.mul(ells[0][i], coords[i]) for i in range(10)))
+        l2 = f.from_int(sum(f.mul(ells[1][i], coords[i]) for i in range(10)))
         if f.is_zero(l1) and f.is_zero(l2):
             return None
         return (l1, l2)
@@ -934,7 +906,7 @@ def residual_triple(data: SpecialLagrangianData, p1: SurfacePoint,
     for i, (t, pt) in enumerate(fit_pts):
         c = data.kperp_coords_of(list(pt))
         s0, t0 = t
-        mono = [f.mul(_pow(f, s0, d), _pow(f, t0, 3 - d)) for d in range(4)]
+        mono = [f.mul(pow(s0, d, f.p), pow(t0, 3 - d, f.p)) for d in range(4)]
         for r in range(7):
             row = [f.zero] * cols
             for d in range(4):
@@ -949,8 +921,8 @@ def residual_triple(data: SpecialLagrangianData, p1: SurfacePoint,
         raise DegenerateConfiguration("degenerate fit scalar")
 
     def omega_at(s0, t0):
-        mono = [f.mul(_pow(f, s0, d), _pow(f, t0, 3 - d)) for d in range(4)]
-        c = [sum_field(f, [f.mul(mono[d], W[d][r]) for d in range(4)]) for r in range(7)]
+        mono = [f.mul(pow(s0, d, f.p), pow(t0, 3 - d, f.p)) for d in range(4)]
+        c = [f.from_int(sum(f.mul(mono[d], W[d][r]) for d in range(4))) for r in range(7)]
         coords = [f.zero] * 10
         for a, ca in enumerate(c):
             if f.is_zero(ca):
@@ -1019,23 +991,9 @@ def residual_triple(data: SpecialLagrangianData, p1: SurfacePoint,
     return gammas, info
 
 
-def _pow(f, x, d):
-    acc = f.one
-    for _ in range(d):
-        acc = f.mul(acc, x)
-    return acc
-
-
 def _eval_binary(ring: PolyRing, form, s0, t0):
-    f = ring.field
-    n = len(form) - 1
-    acc = f.zero
-    sp = f.one
-    for d in range(n + 1):
-        tp = _pow(f, t0, n - d)
-        acc = f.add(acc, f.mul(form[d], f.mul(sp, tp)))
-        sp = f.mul(sp, s0)
-    return acc
+    p, n = ring.field.p, len(form) - 1
+    return sum(c * pow(s0, d, p) * pow(t0, n - d, p) for d, c in enumerate(form)) % p
 
 
 def _proj_param(f, t):

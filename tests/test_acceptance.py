@@ -70,3 +70,30 @@ def test_criterion_09_retry_budget_fails_promptly(monkeypatch):
     assert [c["name"] for c in failed] == ["pair images: degenerate draws within the retry budget"]
     assert failed[0]["detail"] == {"retries": acceptance.DUALK3_RETRY_BUDGET, "successes": 0}
     assert result.elapsed_ms < 60_000
+
+
+def _draws(pattern):
+    """A draw that follows ``pattern``: 'x' raises, 'n' returns None, 'o' succeeds."""
+    it = iter(pattern)
+
+    def draw():
+        step = next(it)
+        if step == "x":
+            raise acceptance.dualk3.DegenerateConfiguration("degenerate")
+        return None if step == "n" else "ok"
+    return draw
+
+
+def test_redraw_budget_counts_degenerate_draws_in_a_row():
+    budget = acceptance.DUALK3_RETRY_BUDGET
+    r = acceptance.CriterionResult(9, "redraw")
+    # 150 degenerate draws (raised or None) before each of three successes
+    out, retries = acceptance._redraw(r, "stage", 3, _draws(("x" * 75 + "n" * 75 + "o") * 3))
+    assert out == ["ok"] * 3 and retries == 450 > budget
+    assert r.passed and r.checks == []
+
+    r = acceptance.CriterionResult(9, "redraw")
+    out, retries = acceptance._redraw(r, "stage", 3, _draws("o" + "n" * budget))
+    assert out is None and retries == budget
+    assert not r.passed and "error" in r.results
+    assert [c["detail"] for c in r.checks] == [{"retries": budget, "successes": 1}]

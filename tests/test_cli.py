@@ -121,3 +121,81 @@ def test_error_reports_do_not_pass(args, code):
     doc = parse(res)
     assert "error" in doc["results"]
     assert doc["assertions"] == [] and doc["passed"] is False
+
+
+def _strip(x):
+    if isinstance(x, dict):
+        return {k: _strip(v) for k, v in x.items() if k != "elapsed_ms"}
+    if isinstance(x, list):
+        return [_strip(v) for v in x]
+    return x
+
+
+@pytest.mark.parametrize("subcommand, criterion", [
+    ("degrees", "criterion_1_degrees"),
+    ("connectedness", "criterion_3_connectedness"),
+    ("exceptional", "criterion_4_exceptional"),
+    ("ledger", "criterion_10_hilb_ledger"),
+])
+def test_wrapped_subcommand_asserts_its_criterion_checks(subcommand, criterion):
+    from lagstrata import acceptance
+    res = invoke(subcommand, "--json-only")
+    assert res.exit_code == 0
+    checks = getattr(acceptance, criterion)().checks
+    assert parse(res)["assertions"] == json.loads(json.dumps(checks, default=str))
+
+
+def test_invariants_of_another_class():
+    res = invoke("invariants", "--genus", "7", "--a", "1", "--b", "0", "--json-only")
+    assert res.exit_code == 0
+    doc = parse(res)
+    assert doc["config"] == {"genus": 7, "a": 1, "b": 0}
+    assert doc["results"] == {"q": 12, "fujiki_degree": 25920}
+
+
+def test_chart_verify_small():
+    res = invoke("chart-verify", "--trials", "20", "--json-only")
+    assert res.exit_code == 0
+    doc = parse(res)
+    assert doc["passed"] is True
+    assert set(doc["results"]) == {"identity_trials", "identity_failures", "orders",
+                                   "restriction_ranks"}
+    assert doc["results"]["identity_trials"] == 40
+
+
+# sha256 of the stripped results (json.dumps with sort_keys) of
+# `dual-k3 --experiment E --trials 5`, as the CLI reported them before it
+# ran the criterion-9 stages
+DUALK3_RESULT_SHA = {
+    "phi": "f383cfa9d8189dfec439b5a43eb1c206762fc06a1fc1887294a8fe7263237fae",
+    "psi": "b001c3d24460aa10d266b24a0721f56ed6438c8fad95fa9f5488d8e5f5cd865c",
+    "newsystem": "fced2f6afb0088503939fe7d54263a1b2ad48eaa4f07850726e8542da8d6de0c",
+    "residual": "7265676a5f185e1f7bded16cf7af324848b23cbb993f382de23672673a666e22",
+}
+
+
+@pytest.mark.parametrize("experiment", sorted(DUALK3_RESULT_SHA))
+def test_dual_k3_results_are_pinned(experiment):
+    import hashlib
+    res = invoke("dual-k3", "--experiment", experiment, "--trials", "5", "--json-only")
+    assert res.exit_code == 0
+    results = _strip(parse(res)["results"])
+    digest = hashlib.sha256(json.dumps(results, sort_keys=True).encode()).hexdigest()
+    assert digest == DUALK3_RESULT_SHA[experiment]
+
+
+def test_dual_k3_gives_up_on_degenerate_draws(monkeypatch):
+    import time
+    from lagstrata import dualk3
+
+    def degenerate(*args, **kwargs):
+        raise dualk3.DegenerateConfiguration("pair endpoints coincide")
+
+    monkeypatch.setattr(dualk3, "phi", degenerate)
+    t0 = time.perf_counter()
+    res = invoke("dual-k3", "--trials", "2", "--json-only")
+    assert time.perf_counter() - t0 < 60
+    assert res.exit_code == 3
+    doc = parse(res)
+    assert doc["passed"] is False
+    assert "error" in doc["results"]

@@ -23,7 +23,7 @@ from itertools import combinations
 import numpy as np
 
 from .fields import PrimeField
-from .exterior import MultiVector, wedge, contract, INDEX
+from .exterior import MultiVector, wedge, wedge_coefficient, contract, INDEX, TOP
 from .linalg import (LinearSubspace, rank, right_nullspace, solve, mat_mul,
                      transpose, symmetric_with_kernel, intersect)
 from .lagrangian import (LagrangianFrame, LagrangianSubspace,
@@ -75,7 +75,7 @@ def _coords3(mv: MultiVector):
 
 def vol5(x: MultiVector, y: MultiVector):
     """Coefficient of e12345 in x ^ y (both supported on V)."""
-    return wedge(x, y).coefficient(VOL5)
+    return wedge_coefficient(x, y, VOL5)
 
 
 def w3_embed(field, coords10):
@@ -721,13 +721,10 @@ def newsystem_dimension(data: SpecialLagrangianData, p1: SurfacePoint,
     rows = []
     for (a, b) in ((0, 1), (0, 2), (1, 2)):
         pair_wedge = wedge(phimv[a], phimv[b])
+        fives = [wedge(g, pair_wedge) for g in genmv]
         for m in range(1, 7):
             em = MultiVector.basis(f, (m,))
-            row = []
-            for g in genmv:
-                val = wedge(wedge(g, pair_wedge), em).coefficient((1, 2, 3, 4, 5, 6))
-                row.append(val)
-            rows.append(row)
+            rows.append([wedge_coefficient(x, em, TOP) for x in fives])
     rnk = rank(rows, f)
     sols = right_nullspace(rows, f)
     # the x = 0 slice must be trivial

@@ -1,13 +1,15 @@
 """Exterior algebra of a fixed six-dimensional space W.
 
 Basis k-vectors are indexed by strictly increasing k-subsets of {1..6} in
-lexicographic order; every sign comes from the parity of the merge
-permutation, so the pairing matrices below are reproducible bit for bit.
-The volume normalization is vol(e1^...^e6) = 1.
+lexicographic order.  Every sign is read from one table per pair of grades,
+``merge_table(g, h)``, built on first use (never at import) from the parity
+of the merge permutation, so the pairing matrices below are reproducible
+bit for bit.  The volume normalization is vol(e1^...^e6) = 1.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import combinations
 
 from .fields import check_same_field
@@ -23,18 +25,24 @@ class GradeError(ValueError):
     """Operation applied at an impossible grade."""
 
 
+@lru_cache(maxsize=None)
+def merge_table(g, h):
+    """For each basis g-subset I, a dict from each h-subset J disjoint from I
+    to (sign, merged): e_I ^ e_J = sign * e_merged, the sign being the parity
+    of the inversions of the concatenation I+J."""
+    table = {}
+    for I in SUBSETS[g]:
+        row = table[I] = {}
+        for J in SUBSETS[h]:
+            if set(I).isdisjoint(J):
+                inv = sum(a > b for a in I for b in J)
+                row[J] = (-1 if inv % 2 else 1), tuple(sorted(I + J))
+    return table
+
+
 def merge_sign(I, J):
     """Merge two disjoint sorted tuples; returns (sign, merged) or None."""
-    if set(I) & set(J):
-        return None
-    merged = tuple(sorted(I + J))
-    # count inversions of the concatenation I+J
-    inv = 0
-    for a in I:
-        for b in J:
-            if a > b:
-                inv += 1
-    return (-1 if inv % 2 else 1), merged
+    return merge_table(len(I), len(J))[I].get(J)
 
 
 class MultiVector:
@@ -59,6 +67,16 @@ class MultiVector:
             if not field.is_zero(c):
                 clean[s] = c
         self.coords = clean
+
+    @classmethod
+    def _trusted(cls, field, grade, coords):
+        """Build from keys known to be valid basis subsets; drops zeros only."""
+        mv = object.__new__(cls)
+        mv.field = field
+        mv.grade = grade
+        is_zero = field.is_zero
+        mv.coords = {s: c for s, c in coords.items() if not is_zero(c)}
+        return mv
 
     @classmethod
     def zero(cls, field, grade):
@@ -90,7 +108,7 @@ class MultiVector:
         f = self.field
         if f.is_zero(c):
             return MultiVector.zero(f, self.grade)
-        return MultiVector(f, self.grade, {s: f.mul(c, v) for s, v in self.coords.items()})
+        return MultiVector._trusted(f, self.grade, {s: f.mul(c, v) for s, v in self.coords.items()})
 
     def __add__(self, other):
         check_same_field(self.field, other.field)
@@ -100,7 +118,7 @@ class MultiVector:
         coords = dict(self.coords)
         for s, c in other.coords.items():
             coords[s] = f.add(coords.get(s, f.zero), c)
-        return MultiVector(f, self.grade, coords)
+        return MultiVector._trusted(f, self.grade, coords)
 
     def __sub__(self, other):
         return self + other.scale(other.field.neg(other.field.one))
@@ -132,18 +150,44 @@ def wedge(a: MultiVector, b: MultiVector) -> MultiVector:
     if g > DIM_W:
         raise GradeError(f"wedge grade {g} exceeds {DIM_W}")
     f = a.field
+    table = merge_table(a.grade, b.grade)
+    bc = b.coords
+    zero, mul, add, sub = f.zero, f.mul, f.add, f.sub
     coords = {}
     for I, ca in a.coords.items():
-        for J, cb in b.coords.items():
-            ms = merge_sign(I, J)
-            if ms is None:
+        row = table[I]
+        # walk the shorter of the table row and b's support
+        for J in (row if len(row) < len(bc) else bc):
+            ms, cb = row.get(J), bc.get(J)
+            if ms is None or cb is None:
                 continue
             sign, M = ms
-            c = f.mul(ca, cb)
-            if sign < 0:
-                c = f.neg(c)
-            coords[M] = f.add(coords.get(M, f.zero), c)
-    return MultiVector(f, g, coords)
+            acc = coords.get(M, zero)
+            coords[M] = add(acc, mul(ca, cb)) if sign > 0 else sub(acc, mul(ca, cb))
+    return MultiVector._trusted(f, g, coords)
+
+
+def wedge_coefficient(a: MultiVector, b: MultiVector, M):
+    """Coefficient of e_M in a ^ b, summing only the terms that merge to M."""
+    check_same_field(a.field, b.field)
+    if a.grade + b.grade > DIM_W:
+        raise GradeError(f"wedge grade {a.grade + b.grade} exceeds {DIM_W}")
+    f = a.field
+    M = tuple(sorted(M))
+    s = f.zero
+    if len(M) != a.grade + b.grade:
+        return s
+    table = merge_table(a.grade, b.grade)
+    bc = b.coords
+    for I, ca in a.coords.items():
+        for J, (sign, merged) in table[I].items():
+            if merged == M:
+                cb = bc.get(J)
+                if cb is not None:
+                    t = f.mul(ca, cb)
+                    s = f.add(s, t) if sign > 0 else f.sub(s, t)
+                break
+    return s
 
 
 def contract(covector, a: MultiVector) -> MultiVector:
@@ -166,7 +210,7 @@ def contract(covector, a: MultiVector) -> MultiVector:
             if t % 2:
                 term = f.neg(term)
             coords[rest] = f.add(coords.get(rest, f.zero), term)
-    return MultiVector(f, a.grade - 1, coords)
+    return MultiVector._trusted(f, a.grade - 1, coords)
 
 
 def volume(a: MultiVector):
@@ -182,15 +226,16 @@ def eta(u: MultiVector, v: MultiVector):
         raise GradeError("eta is defined on trivectors")
     check_same_field(u.field, v.field)
     f = u.field
+    table = merge_table(3, 3)
+    vc = v.coords
     s = f.zero
     for I, cu in u.coords.items():
-        for J, cv in v.coords.items():
-            ms = merge_sign(I, J)
-            if ms is None:
+        for J, (sign, _) in table[I].items():
+            cv = vc.get(J)
+            if cv is None:
                 continue
-            sign, _ = ms
             t = f.mul(cu, cv)
-            s = f.add(s, f.neg(t) if sign < 0 else t)
+            s = f.add(s, t) if sign > 0 else f.sub(s, t)
     return s
 
 
@@ -198,9 +243,7 @@ def eta_gram(field):
     """20x20 matrix of eta on the lexicographic trivector basis."""
     n = len(SUBSETS[3])
     G = [[field.zero] * n for _ in range(n)]
-    for i, I in enumerate(SUBSETS[3]):
-        for j, J in enumerate(SUBSETS[3]):
-            ms = merge_sign(I, J)
-            if ms is not None:
-                G[i][j] = field.from_int(ms[0])
+    for i, row in enumerate(merge_table(3, 3).values()):
+        for J, (sign, _) in row.items():
+            G[i][INDEX[3][J]] = field.from_int(sign)
     return G

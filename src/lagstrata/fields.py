@@ -81,6 +81,16 @@ class PrimeField:
     def div(self, a, b):
         return (a * self.inv(b)) % self.p
 
+    def scale_row(self, c, row):
+        """c*row entrywise."""
+        p = self.p
+        return [(c * x) % p for x in row]
+
+    def row_sub(self, a, c, b):
+        """a - c*b entrywise."""
+        p = self.p
+        return [(x - c * y) % p for x, y in zip(a, b)]
+
     def from_int(self, n: int):
         return n % self.p
 
@@ -150,6 +160,14 @@ class RationalField:
         if b == 0:
             raise ZeroDivisionError("division by 0")
         return Fraction(a) / b
+
+    def scale_row(self, c, row):
+        """c*row entrywise."""
+        return [c * x for x in row]
+
+    def row_sub(self, a, c, b):
+        """a - c*b entrywise."""
+        return [x - c * y for x, y in zip(a, b)]
 
     def from_int(self, n: int):
         return Fraction(n)

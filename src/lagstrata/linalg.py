@@ -20,24 +20,22 @@ def rref(rows, field):
     m = [list(r) for r in rows]
     nrows = len(m)
     ncols = len(m[0]) if nrows else 0
+    is_zero, row_sub = field.is_zero, field.row_sub
     pivots = []
     r = 0
     for c in range(ncols):
         pr = None
         for i in range(r, nrows):
-            if not field.is_zero(m[i][c]):
+            if not is_zero(m[i][c]):
                 pr = i
                 break
         if pr is None:
             continue
         m[r], m[pr] = m[pr], m[r]
-        inv = field.inv(m[r][c])
-        m[r] = [field.mul(inv, x) for x in m[r]]
+        mr = m[r] = field.scale_row(field.inv(m[r][c]), m[r])
         for i in range(nrows):
-            if i != r and not field.is_zero(m[i][c]):
-                f = m[i][c]
-                mi, mr = m[i], m[r]
-                m[i] = [field.sub(mi[j], field.mul(f, mr[j])) for j in range(ncols)]
+            if i != r and not is_zero(m[i][c]):
+                m[i] = row_sub(m[i], m[i][c], mr)
         pivots.append(c)
         r += 1
         if r == nrows:

@@ -1,9 +1,11 @@
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lagstrata.fields import QQ, GF
-from lagstrata.linalg import (LinearSubspace, rank, right_nullspace, solve,
+from lagstrata.linalg import (LinearSubspace, rref, rank, right_nullspace, solve,
                               mat_mul, mat_inverse, identity,
                               intersect, subspace_sum, annihilator,
                               symmetric_with_kernel, is_symmetric, mat_eq)
@@ -126,3 +128,92 @@ def test_subspace_json_roundtrip():
         rng = random.Random(5)
         S = LinearSubspace.from_vectors(field, 6, random_matrix(field, 3, 6, rng))
         assert LinearSubspace.from_json(field, S.to_json()) == S
+
+
+# Reference: the per-entry elimination rref ran before the row-level field
+# methods, two field calls per entry of each row operation.
+def ref_rref(rows, field):
+    m = [list(r) for r in rows]
+    nrows = len(m)
+    ncols = len(m[0]) if nrows else 0
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pr = next((i for i in range(r, nrows) if not field.is_zero(m[i][c])), None)
+        if pr is None:
+            continue
+        m[r], m[pr] = m[pr], m[r]
+        inv = field.inv(m[r][c])
+        m[r] = [field.mul(inv, x) for x in m[r]]
+        for i in range(nrows):
+            if i != r and not field.is_zero(m[i][c]):
+                f = m[i][c]
+                mi, mr = m[i], m[r]
+                m[i] = [field.sub(mi[j], field.mul(f, mr[j])) for j in range(ncols)]
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return m, pivots
+
+
+RREF_FIELDS = [QQ, GF(2), GF(3), GF(101), GF(181)]
+
+
+@st.composite
+def matrices(draw, field):
+    """Small matrices with repeated rows and planted zero rows and columns."""
+    nrows = draw(st.integers(min_value=1, max_value=7))
+    ncols = draw(st.integers(min_value=1, max_value=8))
+    entry = st.one_of(st.just(0), st.integers(min_value=-200, max_value=200))
+    rows = [[field.from_int(draw(entry)) for _ in range(ncols)] for _ in range(nrows)]
+    for _ in range(draw(st.integers(min_value=0, max_value=2))):
+        rows.insert(draw(st.integers(min_value=0, max_value=len(rows))), list(rows[0]))
+    for _ in range(draw(st.integers(min_value=0, max_value=2))):
+        rows.insert(draw(st.integers(min_value=0, max_value=len(rows))), [field.zero] * ncols)
+    for _ in range(draw(st.integers(min_value=0, max_value=2))):
+        c = draw(st.integers(min_value=0, max_value=len(rows[0])))
+        rows = [r[:c] + [field.zero] + r[c:] for r in rows]
+    return rows
+
+
+def assert_same_rref(rows, field):
+    got, want = rref(rows, field), ref_rref(rows, field)
+    assert got == want
+    assert [[type(x) for x in r] for r in got[0]] == [[type(x) for x in r] for r in want[0]]
+
+
+@pytest.mark.parametrize("field", RREF_FIELDS)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_rref_matches_per_entry_elimination(field, data):
+    assert_same_rref(data.draw(matrices(field)), field)
+
+
+@pytest.mark.parametrize("field", RREF_FIELDS)
+def test_rref_edge_shapes_match_per_entry_elimination(field):
+    z, one, two = field.zero, field.one, field.from_int(2)
+    cases = [
+        [],                                   # no rows
+        [[]], [[], []],                       # rows without columns
+        [[z, z, z]], [[z, z], [z, z]],        # zero matrices
+        [[z, two, one, z]],                   # a single row
+        [[z, one, z], [z, z, z], [z, two, z]],  # zero columns around a zero row
+        [[one, two], [two, field.from_int(4)], [z, z]],
+    ]
+    for rows in cases:
+        assert_same_rref(rows, field)
+    assert rref([], field) == ([], [])
+    c = field.from_int(-1)
+    assert rref([[z, c, one]], field) == ([[z, one, field.div(one, c)]], [1])
+
+
+@settings(max_examples=40, deadline=None)
+@given(matrices(QQ))
+def test_rref_against_sympy(rows):
+    sympy = pytest.importorskip("sympy")
+    red, pivots = rref(rows, QQ)
+    want, want_pivots = sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in r]
+                                      for r in rows]).rref()
+    assert pivots == list(want_pivots)
+    assert red == [[Fraction(int(x.p), int(x.q)) for x in want.row(i)] for i in range(want.rows)]

@@ -20,7 +20,8 @@ from .linalg import mat_eq
 from . import schubert
 from .chart import (chart_quadric, graph_matrix_of_tangent, plant_corank,
                     smith_valuations, _series_matrix, kernel_restriction_rank)
-from .strata import census, sample_lg1
+from .strata import (census, sample_lg1, sigma_probe, delta_witnesses,
+                     BudgetExceededError, SIGMA_EXHAUSTIVE_MAX_PRIME)
 from .lagrangian import random_graph_lagrangian
 from . import dualk3
 
@@ -214,6 +215,42 @@ def criterion_8_census(threads: int = 2) -> CriterionResult:
                          ok, "derived",
                          detail={"count": cnt,
                                  "log5": round(math.log(cnt, 5), 3) if cnt else None})
+    return r
+
+
+def census_experiment(prime: int, seed: int, threads: int, lg1: bool) -> CriterionResult:
+    """The stratum census of one seeded Lagrangian over F_prime, with its
+    divisor certificates: a random graph Lagrangian, or with ``lg1`` the
+    witness-free ``sample_lg1(prime, seed)``.  An exhausted scan or retry
+    budget leaves ``results["error"]`` and no checks."""
+    r = CriterionResult(0, "census")
+    try:
+        certificates = {}
+        if lg1:
+            smp = sample_lg1(prime, seed=seed, want_census=True, threads=threads)
+            A, report = smp.A, smp.census_report
+            certificates["sigma"] = smp.sigma.to_json()
+            certificates["gamma"] = smp.gamma.to_json()
+            r.results["attempts"] = smp.attempts
+        else:
+            A = random_graph_lagrangian(GF(prime), random.Random(seed))
+            report = census(A, threads=threads)
+            if prime <= SIGMA_EXHAUSTIVE_MAX_PRIME:
+                certificates["sigma"] = sigma_probe(A, threads=threads).to_json()
+            certificates["gamma"] = {
+                "kind": "gamma", "exhaustive": True,
+                "verdict": "found-witness" if report.count_at_least(4) else "none-found",
+                "trials": report.total,
+            }
+        certificates["delta"] = delta_witnesses(A).to_json()
+    except BudgetExceededError as exc:
+        r.results["error"] = str(exc)
+        return r
+    r.results.update(report.to_json())
+    r.results["certificates"] = certificates
+    r.check("counts_sum", report.total, sum(report.counts.values()), "derived")
+    if lg1:
+        r.check("count_ge_4", 0, report.count_at_least(4), "paper")
     return r
 
 

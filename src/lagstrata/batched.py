@@ -342,13 +342,6 @@ def quadric_zeros(points: np.ndarray, forms: np.ndarray, p: int) -> np.ndarray:
     return idx
 
 
-def decomposable_mask(omegas: np.ndarray, p: int) -> np.ndarray:
-    """Which nonzero trivectors (rows of (N, 20)) are decomposable."""
-    omegas = np.mod(omegas, p)
-    zeros = quadric_zeros(omegas, restricted_quadrics(np.eye(20, dtype=np.int64), p), p)
-    return np.isin(np.arange(len(omegas)), zeros) & omegas.any(axis=1)
-
-
 def f_space_dims(ws: np.ndarray, a_rows: np.ndarray, p: int) -> np.ndarray:
     """dim(A ∩ F_[w]) for each nonzero w (rows of (N, 6))."""
     S = vec_tri_to_four()

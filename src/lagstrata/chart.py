@@ -438,8 +438,7 @@ def kernel_restriction_rank(A: LinearSubspace, rng=None, samples: int = 200) -> 
     return rank(rows, field)
 
 
-def plant_corank(field, k: int, rng, decomposable_free: bool = False,
-                 max_tries: int = 50):
+def plant_corank(field, k: int, rng, decomposable_free: bool = False):
     """Random Lagrangian transverse to T_Uinf with dim(A ∩ T_U0) = k.
 
     Returns (A, kernel_coords).  With ``decomposable_free`` the kernel is
@@ -448,7 +447,7 @@ def plant_corank(field, k: int, rng, decomposable_free: bool = False,
     consumes nothing from ``rng`` there.
     """
     frame = chart_frame(field)
-    for _ in range(max_tries):
+    for _ in range(50):
         K = random_subspace(field, 10, k, rng) if k else None
         kernel_rows = [list(r) for r in K.rows] if K else []
         if decomposable_free and k:

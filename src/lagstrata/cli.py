@@ -1,8 +1,8 @@
 """Command-line driver: every experiment behind one JSON-reporting entry point.
 
 Each report is one ``acceptance.CriterionResult``; a subcommand that wraps a
-criterion (or a criterion-9 stage) reports that criterion's checks as its
-assertions, so every paper integer is stated once, in ``acceptance.py``.
+criterion (a criterion-9 stage, or the census experiment) reports its checks
+as its assertions, so every paper integer is stated once, in ``acceptance.py``.
 Reports are a single JSON document on stdout (or --out); human-readable
 summaries go to stderr.  Exit codes: 0 all assertions passed, 1 an
 assertion failed, 2 usage error, 3 a budget was exhausted (a partial
@@ -23,15 +23,11 @@ from . import __version__
 from . import schubert, dualk3
 from .batched import MAX_PRIME as BATCHED_MAX_PRIME
 from .acceptance import (CriterionResult, run_all, DUALK3_STAGES, SEED_CHART_IDENTITY,
-                         SEED_DUALK3, criterion_1_degrees,
+                         SEED_DUALK3, census_experiment, criterion_1_degrees,
                          criterion_3_connectedness, criterion_4_exceptional,
                          criterion_5_chart_identity, criterion_6_tangent_cone,
                          criterion_7_restriction_rank, criterion_10_hilb_ledger)
 from .fields import GF, MAX_PRIME as FIELD_MAX_PRIME
-from .lagrangian import random_graph_lagrangian
-from .strata import (census, sigma_probe, delta_witnesses,
-                     sample_lg1, BudgetExceededError,
-                     SIGMA_EXHAUSTIVE_MAX_PRIME, DELTA_MAX_PRIME)
 
 GENERATOR = "mt19937 (python random.Random)"
 
@@ -135,37 +131,8 @@ def invariants(genus, a, b):
 def census_cmd(prime, seed, threads, lg1):
     """Exact stratum histogram of a seeded random Lagrangian over F_p."""
     _require_prime(prime)
-    rec = CriterionResult(0, "census")
-    try:
-        certificates = {}
-        if lg1:
-            smp = sample_lg1(prime, seed=seed, want_census=True, threads=threads)
-            A, report = smp.A, smp.census_report
-            certificates["sigma"] = smp.sigma.to_json()
-            certificates["gamma"] = smp.gamma.to_json()
-            rec.results["attempts"] = smp.attempts
-        else:
-            rng = random.Random(seed)
-            A = random_graph_lagrangian(GF(prime), rng)
-            report = census(A, threads=threads)
-            if prime <= SIGMA_EXHAUSTIVE_MAX_PRIME:
-                certificates["sigma"] = sigma_probe(A, threads=threads).to_json()
-            certificates["gamma"] = {
-                "kind": "gamma", "exhaustive": True,
-                "verdict": "found-witness" if report.count_at_least(4) else "none-found",
-                "trials": report.total,
-            }
-        if prime <= DELTA_MAX_PRIME:
-            certificates["delta"] = delta_witnesses(A).to_json()
-        rec.results.update(report.to_json())
-        rec.results["certificates"] = certificates
-        rec.check("counts_sum", report.total, sum(report.counts.values()), "derived")
-        if lg1:
-            rec.check("count_ge_4", 0, report.count_at_least(4), "paper")
-    except BudgetExceededError as exc:
-        rec.results["error"] = str(exc)
-        _emit(rec, exit_code=3)
-    _emit(rec)
+    rec = census_experiment(prime, seed, threads, lg1)
+    _emit(rec, exit_code=3 if "error" in rec.results else None)
 
 
 @main.command("chart-verify")

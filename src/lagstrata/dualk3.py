@@ -183,9 +183,9 @@ def special_frame(field) -> LagrangianFrame:
     return LagrangianFrame(field, l0, li, check=False)
 
 
-def decomposable_in_plane(field, rows, exhaustive_limit: int = 13,
-                          rng=None, samples: int = 300):
-    """Search P(K) for a rank-<=2 two-form; exhaustive for small p."""
+def decomposable_in_plane(field, rows, rng=None):
+    """Search P(K) over F_p for a rank-<=2 two-form: every point for p <= 13,
+    else 300 points drawn from ``rng``."""
     p = field.characteristic
     k = len(rows)
     mvs = [_mv2(field, list(r)) for r in rows]
@@ -199,23 +199,16 @@ def decomposable_in_plane(field, rows, exhaustive_limit: int = 13,
             return None
         return list(coeffs) if bivector_is_decomposable(field, acc) else None
 
-    if p and p <= exhaustive_limit:
-        def rec(prefix):
-            if len(prefix) == k:
-                if any(not field.is_zero(c) for c in prefix):
-                    return check(prefix)
-                return None
-            lead = any(not field.is_zero(c) for c in prefix)
-            choices = range(p) if lead else (0, 1)
-            for c in choices:
-                hit = rec(prefix + [field.from_int(c)])
+    if p <= 13:
+        for desc in batched.projective_block_descriptors(k, p):
+            for point in batched.build_projective_block(desc, k, p):
+                hit = check([field.from_int(int(c)) for c in point])
                 if hit:
                     return hit
-            return None
-        return rec([])
+        return None
     if rng is None:
         raise ValueError("sampled plane check needs an rng")
-    for _ in range(samples):
+    for _ in range(300):
         coeffs = [field.random(rng) for _ in range(k)]
         hit = check(coeffs)
         if hit:
@@ -223,8 +216,8 @@ def decomposable_in_plane(field, rows, exhaustive_limit: int = 13,
     return None
 
 
-def build_special_a(p: int = 101, seed: int = 0, K: LinearSubspace | None = None,
-                    diag=None, max_tries: int = 40) -> SpecialLagrangianData:
+def build_special_a(p: int = 101, seed: int = 0,
+                    K: LinearSubspace | None = None) -> SpecialLagrangianData:
     """Assemble the special Lagrangian package over F_p.
 
     Draws (or validates) a 3-dimensional K in wedge^2 V whose projective
@@ -238,7 +231,7 @@ def build_special_a(p: int = 101, seed: int = 0, K: LinearSubspace | None = None
     rng = random.Random(seed)
     frame = special_frame(field)
     fixed_k = K is not None
-    for _ in range(max_tries):
+    for _ in range(40):
         if K is None:
             rows = [[field.random(rng) for _ in range(10)] for _ in range(3)]
             Kc = LinearSubspace.from_vectors(field, 10, rows)
@@ -255,8 +248,7 @@ def build_special_a(p: int = 101, seed: int = 0, K: LinearSubspace | None = None
                     f"P(K) contains a decomposable two-form at {hit}")
             K = None
             continue
-        M = symmetric_with_kernel(field, 10, [list(r) for r in Kc.rows], rng,
-                                  diag=diag)
+        M = symmetric_with_kernel(field, 10, [list(r) for r in Kc.rows], rng)
         if len(right_nullspace(M, field)) != 3:
             raise AssertionError("graph matrix does not have the prescribed kernel")
         A = lagrangian_from_graph(frame, M)
@@ -606,7 +598,7 @@ def psi_stratum(data: SpecialLagrangianData, psi_subspace: LinearSubspace) -> in
 
 
 def _adapt_basis(data: SpecialLagrangianData, p1: SurfacePoint, p2: SurfacePoint,
-                 p3: SurfacePoint, rng, max_tries: int = 60):
+                 p3: SurfacePoint, rng):
     """Basis (v1..v5) of V with beta1 = v123, beta2 = v145, beta3 = v24(3+5).
 
     v1, v2, v4 span the pairwise intersections of the witness 3-spaces;
@@ -633,7 +625,7 @@ def _adapt_basis(data: SpecialLagrangianData, p1: SurfacePoint, p2: SurfacePoint
     sols = right_nullspace(rows_sys, f)
     if not sols:
         raise DegenerateConfiguration("no adapted third vector")
-    for _ in range(max_tries):
+    for _ in range(60):
         coeffs = [f.random(rng) for _ in sols]
         vec = [f.zero] * 6
         for c, s in zip(coeffs, sols):

@@ -128,14 +128,6 @@ class LagrangianFrame:
             self._stack_inv = mat_inverse(self.l0_rows + self.linf_rows, self.field)
         return self._stack_inv
 
-    def l0_subspace(self) -> LagrangianSubspace:
-        S = LinearSubspace.from_vectors(self.field, TRI_DIM, self.l0_rows)
-        return LagrangianSubspace.from_subspace(S, check=False)
-
-    def linf_subspace(self) -> LagrangianSubspace:
-        S = LinearSubspace.from_vectors(self.field, TRI_DIM, self.linf_rows)
-        return LagrangianSubspace.from_subspace(S, check=False)
-
 
 def lagrangian_from_graph(frame: LagrangianFrame, M) -> LagrangianSubspace:
     """Lagrangian graph of the symmetric matrix M over the frame."""

@@ -138,7 +138,7 @@ def is_symmetric(M, field) -> bool:
     return True
 
 
-def symmetric_with_kernel(field, n, kernel_rows, rng, diag=None):
+def symmetric_with_kernel(field, n, kernel_rows, rng):
     """Random symmetric n-by-n matrix whose kernel is exactly the given span.
 
     Extends the kernel basis to an invertible X (kernel vectors as the first
@@ -153,13 +153,9 @@ def symmetric_with_kernel(field, n, kernel_rows, rng, diag=None):
             cols.append(cand)
     X = transpose(cols)
     Xi = mat_inverse(X, field)
-    if diag is None:
-        diag = [field.random_nonzero(rng) for _ in range(n - k)]
-    if len(diag) != n - k or any(field.is_zero(d) for d in diag):
-        raise ValueError("diagonal data must supply n-k nonzero scalars")
     D = [[field.zero] * n for _ in range(n)]
-    for i, d in enumerate(diag):
-        D[k + i][k + i] = d
+    for i in range(k, n):
+        D[i][i] = field.random_nonzero(rng)
     return mat_mul(transpose(Xi), mat_mul(D, Xi, field), field)
 
 
@@ -225,13 +221,6 @@ class LinearSubspace:
     def from_json(cls, field, obj):
         rows = [[field.from_str(x) for x in r] for r in obj["rows"]]
         return cls.from_vectors(field, obj["ambient"], rows)
-
-
-def subspace_sum(S1: LinearSubspace, S2: LinearSubspace) -> LinearSubspace:
-    check_same_field(S1.field, S2.field)
-    if S1.ambient != S2.ambient:
-        raise ValueError("ambient dimensions differ")
-    return LinearSubspace.from_vectors(S1.field, S1.ambient, list(S1.rows) + list(S2.rows))
 
 
 def intersect(S1: LinearSubspace, S2: LinearSubspace) -> LinearSubspace:

@@ -687,10 +687,6 @@ class ChowClassLG:
         return " + ".join(f"{v}*s{k}" for k, v in sorted(self.coeffs.items()))
 
 
-def lg_mult(x: ChowClassLG, y: ChowClassLG) -> ChowClassLG:
-    return x * y
-
-
 def lg_point(n: int):
     return tuple(range(n, 0, -1))
 

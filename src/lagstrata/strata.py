@@ -31,8 +31,7 @@ class BudgetExceededError(RuntimeError):
     """An enumeration or retry budget was exhausted."""
 
 
-CENSUS_MAX_PRIME = 13
-GAMMA_MAX_PRIME = 7
+SCAN_MAX_PRIME = 7      # at p = 11 one scan covers 2,617,126,920 subspaces: hours
 SIGMA_EXHAUSTIVE_MAX_PRIME = 5
 DELTA_MAX_PRIME = 13
 
@@ -50,6 +49,11 @@ def _require_prime_field(A: LinearSubspace) -> int:
     return A.field.p
 
 
+def _require_scan_prime(p: int):
+    if p > SCAN_MAX_PRIME:
+        raise BudgetExceededError(f"scans of G(3, F_p^6) are limited to p <= {SCAN_MAX_PRIME}")
+
+
 def _rows_array(A: LinearSubspace) -> np.ndarray:
     return np.array([[int(x) for x in r] for r in A.rows], dtype=np.int64)
 
@@ -60,12 +64,10 @@ class CensusReport:
     counts: dict
     total: int
     elapsed_ms: float
-    chunk: int
 
     @property
     def cumulative(self) -> dict:
-        return {k: sum(v for kk, v in self.counts.items() if kk >= k)
-                for k in sorted(self.counts)}
+        return {k: self.count_at_least(k) for k in sorted(self.counts)}
 
     def count_at_least(self, k: int) -> int:
         return sum(v for kk, v in self.counts.items() if kk >= k)
@@ -104,9 +106,16 @@ class DivisorProbeResult:
         }
 
 
-def _census_scan(A: LagrangianSubspace, p: int, chunk: int, collect_ge: Optional[int],
-                 threads: int = 2):
-    """Shared enumeration core: stratum histogram plus optional witnesses."""
+def _census_scan(A: LagrangianSubspace, chunk: int, threads: int):
+    """The census of G(3, F_p^6), and the echelon bases (3x6 arrays) of the
+    first 64 subspaces U, in enumeration order, with dim(A ∩ T_U) >= 4.
+
+    Enumerates the reduced-echelon representative of every rank-3 subspace
+    exactly once.
+    """
+    p = _require_prime_field(A)
+    _require_scan_prime(p)
+    t0 = time.perf_counter()
     AM = _rows_array(A) % p
     D = batched.tangent_gram_blocks(AM, p)
     descs = batched.grassmann_block_descriptors(p, chunk=chunk)
@@ -114,44 +123,25 @@ def _census_scan(A: LagrangianSubspace, p: int, chunk: int, collect_ge: Optional
     def worker(desc):
         mats = batched.build_grassmann_block(desc, p)
         dims = batched.intersection_dims_for_batch(mats, D, p)
-        counts = np.bincount(dims, minlength=11)
-        hits = []
-        if collect_ge is not None:
-            for h in np.nonzero(dims >= collect_ge)[0]:
-                hits.append((desc[0], int(desc[2] + h), mats[h].copy()))
-        return counts, hits
+        return np.bincount(dims, minlength=11), mats[np.flatnonzero(dims >= 4)[:64]]
 
     counts = np.zeros(11, dtype=np.int64)
     witnesses = []
-    for c, h in batched.parallel_map(worker, descs, threads=threads):
+    for c, hits in batched.parallel_map(worker, descs, threads=threads):
         counts += c
-        witnesses.extend(h)
-    witnesses.sort(key=lambda t: (t[0], t[1]))
-    return counts, witnesses
-
-
-def census(A: LagrangianSubspace, p: Optional[int] = None, chunk: int = 32768,
-           threads: int = 2) -> CensusReport:
-    """Exact stratum histogram over all of G(3, F_p^6).
-
-    Enumerates the reduced-echelon representative of every rank-3 subspace
-    exactly once.
-    """
-    ap = _require_prime_field(A)
-    if p is not None and p != ap:
-        raise ValueError("prime argument disagrees with the field of A")
-    p = ap
-    if p > CENSUS_MAX_PRIME:
-        raise BudgetExceededError(f"census enumeration is limited to p <= {CENSUS_MAX_PRIME}")
-    t0 = time.perf_counter()
-    counts, _ = _census_scan(A, p, chunk, None, threads=threads)
+        witnesses.extend(hits[:64 - len(witnesses)])
     elapsed = (time.perf_counter() - t0) * 1000.0
     total = batched.grassmann_size(6, 3, p)
-    counts_dict = {k: int(v) for k, v in enumerate(counts) if v}
-    if sum(counts_dict.values()) != total:
+    if counts.sum() != total:
         raise AssertionError("census counts do not sum to the Gaussian binomial")
-    return CensusReport(prime=p, counts=counts_dict, total=total,
-                        elapsed_ms=elapsed, chunk=chunk)
+    report = CensusReport(prime=p, counts={k: int(v) for k, v in enumerate(counts) if v},
+                          total=total, elapsed_ms=elapsed)
+    return report, witnesses
+
+
+def census(A: LagrangianSubspace, chunk: int = 32768, threads: int = 2) -> CensusReport:
+    """Exact stratum histogram over all of G(3, F_p^6)."""
+    return _census_scan(A, chunk, threads)[0]
 
 
 def _witness_subspace(field, mat) -> LinearSubspace:
@@ -159,18 +149,17 @@ def _witness_subspace(field, mat) -> LinearSubspace:
     return LinearSubspace.from_vectors(field, 6, rows)
 
 
+def _gamma(A: LagrangianSubspace, report: CensusReport, witnesses) -> DivisorProbeResult:
+    wits = [_witness_subspace(A.field, mat).to_json() for mat in witnesses]
+    return DivisorProbeResult(kind="gamma",
+                              verdict="found-witness" if witnesses else "none-found",
+                              exhaustive=True, trials=report.total, witnesses=wits,
+                              detail={"counts": {str(k): v for k, v in report.counts.items()}})
+
+
 def gamma_witnesses(A: LagrangianSubspace, chunk: int = 32768, threads: int = 2) -> DivisorProbeResult:
     """Exhaustive scan for [U] with dim(A ∩ T_U) >= 4; certifies either way."""
-    p = _require_prime_field(A)
-    if p > GAMMA_MAX_PRIME:
-        raise BudgetExceededError(f"gamma scan is limited to p <= {GAMMA_MAX_PRIME}")
-    counts, raw = _census_scan(A, p, chunk, 4, threads=threads)
-    total = batched.grassmann_size(6, 3, p)
-    wits = [_witness_subspace(A.field, mat).to_json() for _, _, mat in raw[:64]]
-    return DivisorProbeResult(kind="gamma",
-                              verdict="found-witness" if raw else "none-found",
-                              exhaustive=True, trials=total, witnesses=wits,
-                              detail={"counts": {str(k): int(v) for k, v in enumerate(counts) if v}})
+    return _gamma(A, *_census_scan(A, chunk, threads))
 
 
 def delta_witnesses(A: LagrangianSubspace, chunk: int = 65536) -> DivisorProbeResult:
@@ -279,38 +268,22 @@ def sample_lg1(p: int, seed: int, max_attempts: int = 20, want_census: bool = Fa
     scan doubles as the census of an accepted subspace.
     """
     import random as _random
-    if p > GAMMA_MAX_PRIME:
-        raise BudgetExceededError(f"certified sampling is limited to p <= {GAMMA_MAX_PRIME}")
+    _require_scan_prime(p)
     field = PrimeField(p)
     frame = standard_frame(field)
     rng = _random.Random(seed)
     for attempt in range(1, max_attempts + 1):
         M = random_symmetric(field, 10, rng)
         A = lagrangian_from_graph(frame, M)
-        if p <= SIGMA_EXHAUSTIVE_MAX_PRIME:
-            sig = sigma_probe(A, threads=threads)
-        else:
-            sig = sigma_probe(A, trials=4000, rng=rng)
+        sig = sigma_probe(A, trials=4000, rng=rng, threads=threads)
         if sig.found:
             continue
-        t0 = time.perf_counter()
-        counts, raw = _census_scan(A, p, chunk, 4, threads=threads)
-        elapsed = (time.perf_counter() - t0) * 1000.0
-        if raw:
+        report, witnesses = _census_scan(A, chunk, threads)
+        if witnesses:
             continue
-        total = batched.grassmann_size(6, 3, p)
-        gam = DivisorProbeResult(kind="gamma", verdict="none-found", exhaustive=True,
-                                 trials=total,
-                                 detail={"counts": {str(k): int(v) for k, v in enumerate(counts) if v}})
-        report = None
-        if want_census:
-            counts_dict = {k: int(v) for k, v in enumerate(counts) if v}
-            if sum(counts_dict.values()) != total:
-                raise AssertionError("census counts do not sum to the Gaussian binomial")
-            report = CensusReport(prime=p, counts=counts_dict, total=total,
-                                  elapsed_ms=elapsed, chunk=chunk)
-        return Lg1Sample(A=A, seed=seed, attempts=attempt, sigma=sig, gamma=gam,
-                         census_report=report)
+        return Lg1Sample(A=A, seed=seed, attempts=attempt, sigma=sig,
+                         gamma=_gamma(A, report, witnesses),
+                         census_report=report if want_census else None)
     raise BudgetExceededError(f"no witness-free Lagrangian found in {max_attempts} attempts")
 
 

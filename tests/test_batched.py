@@ -154,6 +154,10 @@ def test_projective_enumeration_counts(p):
         assert len(reps) == total
 
 
+def _identity_quadrics(p):
+    return batched.restricted_quadrics(np.eye(20, dtype=np.int64), p)
+
+
 def test_decomposable_mask_against_exact_test():
     from lagstrata.exterior import MultiVector
     from lagstrata.lagrangian import is_decomposable
@@ -170,13 +174,15 @@ def test_decomposable_mask_against_exact_test():
               for _ in range(3)]
         w = wedge(wedge(vs[0], vs[1]), vs[2])
         omegas[i] = [int(x) for x in w.to_vector()]
-    mask = batched.decomposable_mask(omegas, p)
+    # the quadrics restricted to the identity are the Pluecker quadrics themselves
+    zeros = batched.quadric_zeros(omegas, _identity_quadrics(p), p).tolist()
     for i in range(60):
         coords = [field.from_int(int(x)) for x in omegas[i]]
         if all(field.is_zero(c) for c in coords):
+            assert i in zeros
             continue
         ok, _ = is_decomposable(MultiVector.from_vector(field, 3, coords))
-        assert bool(mask[i]) == ok
+        assert (i in zeros) == ok
 
 
 def test_f_space_dims_against_exact_intersection():
@@ -275,8 +281,7 @@ def test_quadric_zeros_match_exact_decomposability(p, d, seed):
     expected = [i for i, om in enumerate(omegas)
                 if not om.any() or _exact_decomposable(field, om)]
     assert zeros.tolist() == expected
-    mask = batched.decomposable_mask(omegas, p)
-    assert np.flatnonzero(mask).tolist() == [i for i in expected if omegas[i].any()]
+    assert batched.quadric_zeros(omegas, _identity_quadrics(p), p).tolist() == expected
 
 
 @pytest.mark.parametrize("d", [20, 64])

@@ -114,6 +114,7 @@ def test_accept_all_aggregates_fast_criteria():
 @pytest.mark.parametrize("args, code", [
     (("census", "--prime", "4"), 2),
     (("census", "--prime", "17"), 3),
+    (("census", "--prime", "11"), 3),
 ])
 def test_error_reports_do_not_pass(args, code):
     res = invoke(*args, "--json-only")
@@ -129,6 +130,12 @@ def _strip(x):
     if isinstance(x, list):
         return [_strip(v) for v in x]
     return x
+
+
+def _results_digest(res):
+    import hashlib
+    results = json.dumps(_strip(parse(res)["results"]), sort_keys=True)
+    return hashlib.sha256(results.encode()).hexdigest()
 
 
 @pytest.mark.parametrize("subcommand, criterion", [
@@ -176,12 +183,39 @@ DUALK3_RESULT_SHA = {
 
 @pytest.mark.parametrize("experiment", sorted(DUALK3_RESULT_SHA))
 def test_dual_k3_results_are_pinned(experiment):
-    import hashlib
     res = invoke("dual-k3", "--experiment", experiment, "--trials", "5", "--json-only")
     assert res.exit_code == 0
-    results = _strip(parse(res)["results"])
-    digest = hashlib.sha256(json.dumps(results, sort_keys=True).encode()).hexdigest()
-    assert digest == DUALK3_RESULT_SHA[experiment]
+    assert _results_digest(res) == DUALK3_RESULT_SHA[experiment]
+
+
+# sha256 of the stripped results (json.dumps with sort_keys) of `census`, as
+# the CLI reported them when it built the census itself
+CENSUS_RESULT_SHA = {
+    ("--prime", "2", "--seed", "0"):
+        "7a710cce4d0e6c2b73208cb32cfdb7509d82920b83c60add0aeb51d30da10008",
+    ("--prime", "3", "--seed", "1"):
+        "39566d55e1f1cc6c0dbd6073a6fec968a8da6f4781bc1395802c82f3d85d009e",
+    ("--prime", "3", "--seed", "2", "--lg1"):
+        "b6e641dbf69d518dec75d2668496a6b594caf5d7ff416504e31eb5bc4cb7a2db",
+    ("--prime", "2", "--seed", "9", "--lg1"):
+        "e8bdabce26c10473c754c91307ece9b813757234f5c8d3325d03303e361a349a",
+}
+
+
+@pytest.mark.parametrize("args", sorted(CENSUS_RESULT_SHA))
+def test_census_results_are_pinned(args):
+    res = invoke("census", *args, "--json-only")
+    assert res.exit_code == 0
+    assert _results_digest(res) == CENSUS_RESULT_SHA[args]
+
+
+def test_census_lg1_asserts_the_census_experiment_checks():
+    from lagstrata import acceptance
+    res = invoke("census", "--prime", "2", "--seed", "9", "--lg1", "--json-only")
+    assert res.exit_code == 0
+    checks = acceptance.census_experiment(2, 9, 2, True).checks
+    assert len(checks) == 2 and all(c["passed"] for c in checks)
+    assert parse(res)["assertions"] == json.loads(json.dumps(checks, default=str))
 
 
 def test_dual_k3_gives_up_on_degenerate_draws(monkeypatch):

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -58,7 +59,7 @@ def test_build_invariants(data):
     ns = right_nullspace(data.M, f)
     assert LinearSubspace.from_vectors(f, 10, ns) == data.K
     # wedge^3 V is Lagrangian and transverse to F_[v0]
-    linf = data.frame.linf_subspace()
+    linf = LinearSubspace.from_vectors(f, 20, data.frame.linf_rows)
     assert is_lagrangian(linf)
     assert intersection_dim(linf, fv0) == 0
 
@@ -235,3 +236,44 @@ def test_residual_triples(data, rng):
 def test_build_validates_prime():
     with pytest.raises(ValueError):
         build_special_a(p=2, seed=0)
+
+
+def _plane_meets_decomposables(field, rows):
+    """Brute force over every nonzero point of P(K): a point hits when its
+    two-form has a vanishing wedge square."""
+    p = field.characteristic
+    for coeffs in itertools.product(range(p), repeat=len(rows)):
+        if not any(coeffs):
+            continue
+        coords = [sum(c * int(r[i]) for c, r in zip(coeffs, rows)) % p for i in range(10)]
+        kappa = MultiVector(field, 2, {dualk3.SUB2V[i]: field.from_int(x)
+                                       for i, x in enumerate(coords) if x})
+        if dualk3.bivector_is_decomposable(field, kappa):
+            return True
+    return False
+
+
+@pytest.mark.parametrize("p", [5, 7, 11, 13])
+def test_decomposable_in_plane_against_brute_force(p):
+    field = GF(p)
+    rng = random.Random(p)
+    planes = []
+    while len(planes) < 6:
+        rows = [[field.random(rng) for _ in range(10)] for _ in range(3)]
+        if rank(rows, field) == 3:
+            planes.append(rows)
+    e12 = [field.one if s == (1, 2) else field.zero for s in dualk3.SUB2V]
+    planes[0][rng.randrange(3)] = e12
+    # e12 = row 0 - row 1 with no decomposable basis row
+    planes[1][0] = [field.add(x, y) for x, y in zip(e12, planes[1][1])]
+    verdicts = []
+    for rows in planes:
+        hit = dualk3.decomposable_in_plane(field, rows)
+        verdicts.append(hit is not None)
+        assert verdicts[-1] == _plane_meets_decomposables(field, rows)
+        if hit is not None:
+            kappa = MultiVector.zero(field, 2)
+            for c, r in zip(hit, rows):
+                kappa = kappa + dualk3._mv2(field, r).scale(c)
+            assert not kappa.is_zero() and dualk3.bivector_is_decomposable(field, kappa)
+    assert verdicts[:2] == [True, True]

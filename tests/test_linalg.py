@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from lagstrata.fields import QQ, GF
 from lagstrata.linalg import (LinearSubspace, rref, rank, right_nullspace, solve,
                               mat_mul, mat_inverse, identity,
-                              intersect, subspace_sum, annihilator,
+                              intersect, annihilator,
                               symmetric_with_kernel, is_symmetric, mat_eq)
 
 FIELDS = [QQ, GF(5), GF(101)]
@@ -70,7 +70,7 @@ def test_intersection_dimension_formula(field):
         S1 = LinearSubspace.from_vectors(field, 6, random_matrix(field, d1, 6, rng))
         S2 = LinearSubspace.from_vectors(field, 6, random_matrix(field, d2, 6, rng))
         inter = intersect(S1, S2)
-        total = subspace_sum(S1, S2)
+        total = LinearSubspace.from_vectors(field, 6, list(S1.rows) + list(S2.rows))
         assert inter.dim == S1.dim + S2.dim - total.dim
         for row in inter.rows:
             assert S1.contains(row) and S2.contains(row)

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -103,6 +104,25 @@ def test_census_rejects_large_prime():
         census(A)
 
 
+def test_one_scan_cap_before_any_work(monkeypatch):
+    # census, gamma and lg1 sampling run the same scan; at p = 11 it would
+    # cover 2,617,126,920 subspaces, so each refuses before scanning or drawing
+    from lagstrata import strata
+
+    def no_draw(*args, **kwargs):
+        raise AssertionError("sample_lg1 drew before checking the cap")
+
+    A = random_graph_lagrangian(GF(11), random.Random(0))
+    monkeypatch.setattr(strata, "random_symmetric", no_draw)
+    messages = set()
+    for refuse in (lambda: census(A), lambda: gamma_witnesses(A),
+                   lambda: sample_lg1(11, seed=0)):
+        with pytest.raises(BudgetExceededError) as exc:
+            refuse()
+        messages.add(str(exc.value))
+    assert messages == {"scans of G(3, F_p^6) are limited to p <= 7"}
+
+
 def test_gamma_witnesses_tangent_case():
     field = GF(3)
     U0 = basis_subspace(field, (1, 2, 3))
@@ -110,6 +130,24 @@ def test_gamma_witnesses_tangent_case():
     assert res.found and res.exhaustive
     wits = [LinearSubspace.from_json(field, w) for w in res.witnesses]
     assert U0 in wits
+
+
+def test_gamma_witnesses_are_the_first_64_in_enumeration_order():
+    # 14,197 of the 33,880 subspaces are witnesses here; blocks of 512 cut
+    # the first 64 across several blocks
+    from lagstrata import batched
+    field = GF(3)
+    A = tangent_space(basis_subspace(field, (1, 3, 5)))
+
+    def witnesses():
+        for desc in batched.grassmann_block_descriptors(3):
+            for m in batched.build_grassmann_block(desc, 3):
+                U = LinearSubspace.from_vectors(
+                    field, 6, [[field.from_int(int(x)) for x in r] for r in m])
+                if stratum(A, U) >= 4:
+                    yield U.to_json()
+
+    assert gamma_witnesses(A, chunk=512).witnesses == list(itertools.islice(witnesses(), 64))
 
 
 def test_gamma_witnesses_f_space_case():

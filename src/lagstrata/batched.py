@@ -12,6 +12,7 @@ these kernels are tested against.
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ThreadPoolExecutor
 from functools import lru_cache
 from itertools import combinations
@@ -111,30 +112,27 @@ def _pair_indices():
     return np.array(ia), np.array(ib)
 
 
+def _sign_tensor(g: int, h: int) -> np.ndarray:
+    """Wedge sign tensor S[i, j, k] = sign with e_I ^ e_J = sign e_K, for the
+    g-subset I, h-subset J and (g+h)-subset K of index i, j, k."""
+    S = np.zeros((len(SUBSETS[g]), len(SUBSETS[h]), len(SUBSETS[g + h])), dtype=np.int64)
+    for i, I in enumerate(SUBSETS[g]):
+        for j, J in enumerate(SUBSETS[h]):
+            if ms := merge_sign(I, J):
+                S[i, j, INDEX[g + h][ms[1]]] = ms[0]
+    return S
+
+
 @lru_cache(maxsize=None)
 def tri_biv_to_five() -> np.ndarray:
     """Wedge sign tensor (tri, biv) -> grade-5 coordinate; shape (20, 15, 6)."""
-    S = np.zeros((20, 15, 6), dtype=np.int64)
-    for i, I in enumerate(SUBSETS[3]):
-        for j, J in enumerate(SUBSETS[2]):
-            ms = merge_sign(I, J)
-            if ms is not None:
-                sign, M = ms
-                S[i, j, INDEX[5][M]] = sign
-    return S
+    return _sign_tensor(3, 2)
 
 
 @lru_cache(maxsize=None)
 def vec_tri_to_four() -> np.ndarray:
     """Wedge sign tensor (vector, tri) -> grade-4 coordinate; shape (6, 20, 15)."""
-    S = np.zeros((6, 20, 15), dtype=np.int64)
-    for i in range(6):
-        for t, T in enumerate(SUBSETS[3]):
-            ms = merge_sign((i + 1,), T)
-            if ms is not None:
-                sign, M = ms
-                S[i, t, INDEX[4][M]] = sign
-    return S
+    return _sign_tensor(1, 3)
 
 
 def matmul_mod_f32(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
@@ -229,8 +227,15 @@ def grassmann_size(n: int, k: int, p: int) -> int:
     return num // den
 
 
+def check_chunk(chunk: int) -> None:
+    """Raise unless chunk >= 1; a block loop would add empty blocks forever."""
+    if chunk < 1:
+        raise ValueError(f"blocks need chunk >= 1, not {chunk}")
+
+
 def grassmann_block_descriptors(p: int, chunk: int = 32768, n: int = 6, k: int = 3):
     """Disjoint block descriptors covering every echelon representative once."""
+    check_chunk(chunk)
     out = []
     for pattern in pivot_patterns(n, k):
         slots = free_slots(pattern, n)
@@ -255,6 +260,7 @@ def build_grassmann_block(desc, p: int) -> np.ndarray:
 
 
 def projective_block_descriptors(dim: int, p: int, chunk: int = 65536):
+    check_chunk(chunk)
     out = []
     for lead in range(dim):
         total = p ** (dim - lead - 1)
@@ -277,10 +283,13 @@ def build_projective_block(desc, dim: int, p: int) -> np.ndarray:
 
 
 def parallel_map(worker, items, threads: int = 2):
-    """Map over items with a small thread pool; numpy releases the GIL."""
-    if threads <= 1 or len(items) <= 1:
+    """Map over items with a small thread pool; numpy releases the GIL.  At
+    most one worker per item and per CPU this process may use."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    workers = min(threads, len(items), cpus or 1)
+    if workers <= 1:
         return [worker(it) for it in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
+    with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(worker, items))
 
 

@@ -19,6 +19,7 @@ truncated power-series ring.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import combinations
 from math import lcm
 
@@ -42,9 +43,7 @@ class ChartPreconditionError(ValueError):
     """A chart operation was applied outside its stated domain."""
 
 
-_FRAMES: dict = {}
-
-
+@lru_cache(maxsize=None)
 def chart_frame(field) -> LagrangianFrame:
     """Frame (T_U0, T_Uinf) in the derivative bases of the graph chart.
 
@@ -52,23 +51,18 @@ def chart_frame(field) -> LagrangianFrame:
     of the rows of [I | B] at B = 0, in row-major (i, j) order; same for
     T_Uinf with the roles of U0 and Uinf exchanged.
     """
-    key = field
-    fr = _FRAMES.get(key)
-    if fr is None:
-        def adapted(rf, rt):
-            base = [MultiVector.basis(field, (k,)) for k in rf]
-            rows = [wedge(wedge(base[0], base[1]), base[2]).to_vector()]
-            for i in range(3):
-                for j in range(3):
-                    vecs = list(base)
-                    vecs[i] = MultiVector.basis(field, (rt[j],))
-                    rows.append(wedge(wedge(vecs[0], vecs[1]), vecs[2]).to_vector())
-            return rows
+    def adapted(rf, rt):
+        base = [MultiVector.basis(field, (k,)) for k in rf]
+        rows = [wedge(wedge(base[0], base[1]), base[2]).to_vector()]
+        for i in range(3):
+            for j in range(3):
+                vecs = list(base)
+                vecs[i] = MultiVector.basis(field, (rt[j],))
+                rows.append(wedge(wedge(vecs[0], vecs[1]), vecs[2]).to_vector())
+        return rows
 
-        fr = LagrangianFrame(field, adapted((1, 2, 3), (4, 5, 6)),
-                             adapted((4, 5, 6), (1, 2, 3)), check=False)
-        _FRAMES[key] = fr
-    return fr
+    return LagrangianFrame(field, adapted((1, 2, 3), (4, 5, 6)),
+                           adapted((4, 5, 6), (1, 2, 3)), check=False)
 
 
 def chart_subspace(field, B) -> LinearSubspace:

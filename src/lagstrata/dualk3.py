@@ -12,18 +12,27 @@ image with a residual triple cut on a twisted cubic.
 Everything runs over F_p (odd, p >= 5; default 101): exact point sampling
 over the rationals would need rational points on quadrics, which generic
 data does not supply.
+
+The algebra of wedge^* V (V = <e1..e5>) runs on plain coordinate lists of
+ints mod p, indexed by the lexicographic subsets ``SUBV[g]``, through one
+cached list of structure constants per grade pair, ``_signs(g, h)``, read
+from ``exterior.merge_table``: the wedge, the 2V x 3V pairing, the vol5
+forms, and the five Pluecker quadrics of wedge^3 V with their polars all
+come from it.  Only the computations on W (decomposability, F-spaces,
+strata and the wedges of the adapted system) build ``MultiVector`` values.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
 
 from .fields import PrimeField
-from .exterior import MultiVector, wedge, wedge_coefficient, contract, INDEX, TOP
+from .exterior import MultiVector, wedge, wedge_coefficient, merge_table, INDEX, TOP
 from .linalg import (LinearSubspace, rank, right_nullspace, solve, mat_mul,
                      transpose, symmetric_with_kernel, intersect)
 from .lagrangian import (LagrangianFrame, LagrangianSubspace,
@@ -33,11 +42,8 @@ from .strata import stratum
 from .unipoly import PolyRing
 from . import batched
 
-SUB2V = tuple(combinations(range(1, 6), 2))      # basis of wedge^2 V
-SUB3V = tuple(combinations(range(1, 6), 3))      # basis of wedge^3 V
-IDX2V = {s: i for i, s in enumerate(SUB2V)}
-IDX3V = {s: i for i, s in enumerate(SUB3V)}
-VOL5 = (1, 2, 3, 4, 5)
+SUBV = {g: tuple(combinations(range(1, 6), g)) for g in range(6)}   # basis of wedge^g V
+IDXV = {g: {s: i for i, s in enumerate(SUBV[g])} for g in range(6)}
 
 
 class DegenerateConfiguration(ValueError):
@@ -48,41 +54,69 @@ class RetryBudgetError(RuntimeError):
     pass
 
 
-def _mv2(field, coords10):
-    return MultiVector(field, 2, {SUB2V[i]: c for i, c in enumerate(coords10)
-                                  if not field.is_zero(c)})
+@lru_cache(maxsize=None)
+def _signs(g, h):
+    """The structure constants (i, j, k, sign) of wedge^g V x wedge^h V:
+    e_I ^ e_J = sign * e_K for I = SUBV[g][i], J = SUBV[h][j], K = SUBV[g+h][k],
+    read from ``exterior.merge_table``."""
+    return tuple((i, IDXV[h][J], IDXV[g + h][K], sign)
+                 for i, I in enumerate(SUBV[g])
+                 for J, (sign, K) in merge_table(g, h)[I].items() if 6 not in J)
 
 
-def _mv3(field, coords10):
-    return MultiVector(field, 3, {SUB3V[i]: c for i, c in enumerate(coords10)
-                                  if not field.is_zero(c)})
+def _wedge(x, y, g, h, p):
+    """Coordinates of x ^ y for coordinate lists x of grade g and y of grade h."""
+    out = [0] * len(SUBV[g + h])
+    for i, j, k, sign in _signs(g, h):
+        out[k] += sign * x[i] * y[j]
+    return [c % p for c in out]
 
 
-def _mv1(field, coords5):
-    return MultiVector(field, 1, {(i + 1,): c for i, c in enumerate(coords5)
-                                  if not field.is_zero(c)})
+def _dual(x, g, p):
+    """Coordinates of the form y -> vol5(x ^ y) on wedge^(5-g) V."""
+    out = [0] * len(SUBV[5 - g])
+    for i, j, _, sign in _signs(g, 5 - g):
+        out[j] += sign * x[i]
+    return [c % p for c in out]
 
 
-def _coords3(mv: MultiVector):
-    field = mv.field
-    out = [field.zero] * 10
-    for s, c in mv.coords.items():
-        if 6 in s:
-            raise ValueError("trivector is not supported on V")
-        out[IDX3V[s]] = c
-    return out
+def _pairing(alpha, beta, p):
+    """vol5(alpha ^ beta) for alpha in wedge^2 V and beta in wedge^3 V."""
+    return _wedge(alpha, beta, 2, 3, p)[0]
 
 
-def vol5(x: MultiVector, y: MultiVector):
-    """Coefficient of e12345 in x ^ y (both supported on V)."""
-    return wedge_coefficient(x, y, VOL5)
+@lru_cache(maxsize=None)
+def _plucker_terms():
+    """(i, k, b, sign): the bilinear forms q_i(x, y) = vol5((e_i* -| x) ^ y) on
+    wedge^3 V are the sums of sign * x_k * y_b over the terms of i.  Since
+    e_i ^ e_J = s e_K, contracting e_K by e_i* gives s e_J."""
+    dual = {j: (b, sign) for j, b, _, sign in _signs(2, 3)}
+    return tuple((i, k, dual[j][0], sign * dual[j][1]) for i, j, k, sign in _signs(1, 2))
+
+
+def _quadrics(x, y, p):
+    """[q_1(x, y), ..., q_5(x, y)]; the five Pluecker quadrics of wedge^3 V
+    are q_i(beta, beta), their polars q_i(x, y) + q_i(y, x)."""
+    out = [0] * 5
+    for i, k, b, sign in _plucker_terms():
+        out[i] += sign * x[k] * y[b]
+    return [c % p for c in out]
+
+
+def _normalize(f, coords):
+    """The multiple of ``coords`` with leading coefficient 1, or None for zero."""
+    lead = next((x for x in coords if not f.is_zero(x)), None)
+    if lead is None:
+        return None
+    inv = f.inv(lead)
+    return [f.mul(inv, x) for x in coords]
 
 
 def w3_embed(field, coords10):
     """Coordinates in wedge^3 V -> coordinates in wedge^3 W."""
     out = [field.zero] * 20
     for i, c in enumerate(coords10):
-        out[INDEX[3][SUB3V[i]]] = c
+        out[INDEX[3][SUBV[3][i]]] = c
     return out
 
 
@@ -90,42 +124,16 @@ def v0_wedge_coords(field, coords10_biv):
     """Coordinates of v0 ^ alpha in wedge^3 W for alpha in wedge^2 V."""
     out = [field.zero] * 20
     for i, c in enumerate(coords10_biv):
-        out[INDEX[3][SUB2V[i] + (6,)]] = c
+        out[INDEX[3][SUBV[2][i] + (6,)]] = c
     return out
 
 
-def pairing_2v_3v(field):
-    """10x10 matrix of (alpha, beta) -> vol5(alpha ^ beta)."""
-    P = [[field.zero] * 10 for _ in range(10)]
-    for i, I in enumerate(SUB2V):
-        for j, J in enumerate(SUB3V):
-            P[i][j] = vol5(MultiVector.basis(field, I), MultiVector.basis(field, J))
-    return P
-
-
-_SQRT_TABLES: dict[int, list] = {}
-
-
+@lru_cache(maxsize=None)
 def sqrt_table(p: int):
-    tab = _SQRT_TABLES.get(p)
-    if tab is None:
-        tab = [None] * p
-        for y in range((p + 1) // 2, -1, -1):
-            tab[(y * y) % p] = y
-        _SQRT_TABLES[p] = tab
+    tab = [None] * p
+    for y in range((p + 1) // 2, -1, -1):
+        tab[(y * y) % p] = y
     return tab
-
-
-def bivector_is_decomposable(field, kappa: MultiVector) -> bool:
-    """A two-form has rank <= 2 iff its wedge square vanishes."""
-    return wedge(kappa, kappa).is_zero()
-
-
-def plucker_quadric(field, vstar_index: int, beta: MultiVector):
-    """q_{v*}(beta) = vol5(contraction of beta by v* ^ beta)."""
-    cov = [field.zero] * 6
-    cov[vstar_index - 1] = field.one
-    return vol5(contract(cov, beta), beta)
 
 
 @dataclass
@@ -133,9 +141,6 @@ class SurfacePoint:
     beta: tuple                  # normalized coordinates in wedge^3 V
     witness: LinearSubspace      # the 3-space in V with top wedge <beta>
     kperp_coords: tuple          # coordinates of beta in the K-perp basis
-
-    def mv(self, field) -> MultiVector:
-        return _mv3(field, list(self.beta))
 
 
 @dataclass
@@ -166,13 +171,22 @@ class SpecialLagrangianData:
         return self.field.from_int(sum(ca * cb * g for ca, row in zip(c1, self.gram_star)
                                        for cb, g in zip(c2, row)))
 
+    def q_star_on(self, ring, polys):
+        """The quadric on K-perp at coordinates given as polynomials."""
+        out = ring.zero
+        for row, pa in zip(self.gram_star, polys):
+            for g, pb in zip(row, polys):
+                if not self.field.is_zero(g):
+                    out = ring.add(out, ring.scale(g, ring.mul(pa, pb)))
+        return out
+
     def q_star_by_solve(self, beta_coords):
         """Oracle route: solve for a preimage and pair it with beta."""
         f = self.field
         alpha = solve(transpose(self.ytil), list(beta_coords), f)
         if alpha is None:
             raise ValueError("trivector lies outside the image of the map")
-        return vol5(_mv2(f, alpha), _mv3(f, list(beta_coords)))
+        return _pairing(alpha, list(beta_coords), f.p)
 
 
 def special_frame(field) -> LagrangianFrame:
@@ -188,16 +202,13 @@ def decomposable_in_plane(field, rows, rng=None):
     else 300 points drawn from ``rng``."""
     p = field.characteristic
     k = len(rows)
-    mvs = [_mv2(field, list(r)) for r in rows]
 
     def check(coeffs):
-        acc = MultiVector.zero(field, 2)
-        for c, m in zip(coeffs, mvs):
-            if not field.is_zero(c):
-                acc = acc + m.scale(c)
-        if acc.is_zero():
+        # a two-form has rank <= 2 iff its wedge square vanishes
+        kappa = mat_mul([coeffs], rows, field)[0]
+        if not any(kappa) or any(_wedge(kappa, kappa, 2, 2, p)):
             return None
-        return list(coeffs) if bivector_is_decomposable(field, acc) else None
+        return list(coeffs)
 
     if p <= 13:
         for desc in batched.projective_block_descriptors(k, p):
@@ -253,9 +264,8 @@ def build_special_a(p: int = 101, seed: int = 0,
             raise AssertionError("graph matrix does not have the prescribed kernel")
         A = lagrangian_from_graph(frame, M)
         ytil = mat_mul(M, frame.pairing_transpose_inv, field)
-        P5 = pairing_2v_3v(field)
         kperp = LinearSubspace.from_vectors(
-            field, 10, right_nullspace(mat_mul([list(r) for r in Kc.rows], P5, field), field))
+            field, 10, right_nullspace([_dual(r, 2, p) for r in Kc.rows], field))
         if kperp.dim != 7:
             raise AssertionError("K-perp must be 7-dimensional")
         alpha_basis = []
@@ -264,11 +274,7 @@ def build_special_a(p: int = 101, seed: int = 0,
             if alpha is None:
                 raise AssertionError("K-perp vector outside the image of the map")
             alpha_basis.append(alpha)
-        gram = [[field.zero] * 7 for _ in range(7)]
-        for a in range(7):
-            am = _mv2(field, alpha_basis[a])
-            for b in range(7):
-                gram[a][b] = vol5(am, _mv3(field, list(kperp.rows[b])))
+        gram = [[_pairing(alpha, krow, p) for krow in kperp.rows] for alpha in alpha_basis]
         for a in range(7):
             for b in range(a):
                 if not field.is_zero(field.sub(gram[a][b], gram[b][a])):
@@ -295,14 +301,6 @@ def _conic_point(field, G):
     """A projective point of the conic x^T G x = 0 over F_p, or None."""
     p = field.p
     tab = sqrt_table(p)
-
-    def q(v):
-        acc = 0
-        for i in range(3):
-            for j in range(3):
-                acc += v[i] * G[i][j] * v[j]
-        return acc % p
-
     for x in range(p):
         # solve q(x, y, 1) = 0 as a quadratic in y
         a = G[1][1] % p
@@ -347,6 +345,7 @@ def sample_s_a_point(data: SpecialLagrangianData, rng, max_tries: int = 200,
     """
     f = data.field
     p = data.p
+    units = [[int(i == j) for j in range(5)] for i in range(5)]
     for _ in range(max_tries):
         if support_vector is not None:
             u = list(support_vector)
@@ -354,18 +353,11 @@ def sample_s_a_point(data: SpecialLagrangianData, rng, max_tries: int = 200,
             u = [f.random(rng) for _ in range(5)]
         if all(f.is_zero(x) for x in u):
             continue
-        umv = _mv1(f, u)
         # linear conditions on two-forms pi: vol5(kappa ^ u ^ pi) = 0
-        rows = []
-        for krow in data.K.rows:
-            ku = wedge(_mv2(f, list(krow)), umv)
-            rows.append([vol5(ku, MultiVector.basis(f, I)) for I in SUB2V])
-        Z = right_nullspace(rows, f)
+        Z = right_nullspace([_dual(_wedge(k, u, 2, 1, p), 3, p) for k in data.K.rows], f)
         if len(Z) != 7:
             continue
-        uV = LinearSubspace.from_vectors(
-            f, 10, [[wedge(umv, MultiVector.basis(f, (i,))).coefficient(I)
-                     for I in SUB2V] for i in range(1, 6)])
+        uV = LinearSubspace.from_vectors(f, 10, [_wedge(u, e, 1, 1, p) for e in units])
         if uV.dim != 4:
             continue
         reps = []
@@ -379,9 +371,7 @@ def sample_s_a_point(data: SpecialLagrangianData, rng, max_tries: int = 200,
                 break
         if len(reps) != 3:
             continue
-        pis = [_mv2(f, r) for r in reps]
-        G = [[vol5(wedge(pis[a], pis[b]), umv) for b in range(3)] for a in range(3)]
-        Gi = [[int(x) for x in row] for row in G]
+        Gi = [[_wedge(_wedge(a, b, 2, 2, p), u, 4, 1, p)[0] for b in reps] for a in reps]
         if all(x % p == 0 for row in Gi for x in row):
             continue
         P0 = _conic_point(f, Gi)
@@ -404,16 +394,7 @@ def sample_s_a_point(data: SpecialLagrangianData, rng, max_tries: int = 200,
         B2 = comb((2 * bil(R1, R2)) % p, P0, (-2 * bil(P0, R2)) % p, R1,
                   (-2 * bil(P0, R1)) % p, R2)
 
-        def beta_coords(xvec):
-            pi = MultiVector.zero(f, 2)
-            for c, pm in zip(xvec, pis):
-                if c % p:
-                    pi = pi + pm.scale(f.from_int(c))
-            return _coords3(wedge(umv, pi))
-
-        b20 = beta_coords(A2)
-        b11 = beta_coords(B2)
-        b02 = beta_coords(C2)
+        b20, b11, b02 = (_wedge(u, pi, 1, 2, p) for pi in mat_mul([A2, B2, C2], reps, f))
         try:
             c20 = data.kperp_coords_of(b20)
             c11 = data.kperp_coords_of(b11)
@@ -421,15 +402,7 @@ def sample_s_a_point(data: SpecialLagrangianData, rng, max_tries: int = 200,
         except ValueError:
             continue
         ring = PolyRing(f)
-        coord_polys = [tuple(x for x in (c02[r], c11[r], c20[r])) for r in range(7)]
-        quartic = ring.zero
-        for a in range(7):
-            for b in range(7):
-                g = data.gram_star[a][b]
-                if f.is_zero(g):
-                    continue
-                quartic = ring.add(quartic,
-                                   ring.scale(g, ring.mul(coord_polys[a], coord_polys[b])))
+        quartic = data.q_star_on(ring, list(zip(c02, c11, c20)))
         roots = [f.from_int(s) for s in range(p)
                  if f.is_zero(ring.eval(quartic, f.from_int(s)))]
         candidates = [(s, f.one) for s in roots]
@@ -451,13 +424,10 @@ def sample_s_a_point(data: SpecialLagrangianData, rng, max_tries: int = 200,
 
 def _finish_point(data: SpecialLagrangianData, coords) -> SurfacePoint | None:
     f = data.field
-    lead = next((i for i, x in enumerate(coords) if not f.is_zero(x)), None)
-    if lead is None:
+    coords = _normalize(f, coords)
+    if coords is None:
         return None
-    inv = f.inv(coords[lead])
-    coords = [f.mul(inv, x) for x in coords]
-    mv = _mv3(f, coords)
-    ok, witness_w = is_decomposable(wedge_embed3(f, coords))
+    ok, witness_w = is_decomposable(MultiVector.from_vector(f, 3, w3_embed(f, coords)))
     if not ok:
         return None
     wit_rows = []
@@ -470,38 +440,19 @@ def _finish_point(data: SpecialLagrangianData, coords) -> SurfacePoint | None:
         kc = data.kperp_coords_of(coords)
     except ValueError:
         return None
-    if not f.is_zero(data.q_star_polar(kc, kc)):
+    if not f.is_zero(data.q_star_polar(kc, kc)) or any(_quadrics(coords, coords, f.p)):
         return None
-    for i in range(1, 6):
-        if not f.is_zero(plucker_quadric(f, i, mv)):
-            return None
     return SurfacePoint(beta=tuple(coords), witness=witness, kperp_coords=tuple(kc))
 
 
-def wedge_embed3(field, coords10) -> MultiVector:
-    return MultiVector.from_vector(field, 3, w3_embed(field, list(coords10)))
-
-
 def verify_surface_point(data: SpecialLagrangianData, pt: SurfacePoint) -> bool:
-    f = data.field
-    mv = pt.mv(f)
-    if not f.is_zero(data.q_star(list(pt.beta))):
+    f, p = data.field, data.p
+    beta = list(pt.beta)
+    if not f.is_zero(data.q_star(beta)) or any(_quadrics(beta, beta, p)):
         return False
-    for i in range(1, 6):
-        if not f.is_zero(plucker_quadric(f, i, mv)):
-            return False
-    top = wedge(wedge(_mv1(f, list(pt.witness.rows[0])), _mv1(f, list(pt.witness.rows[1]))),
-                _mv1(f, list(pt.witness.rows[2])))
-    return _coords_proportional(f, _coords3(top), list(pt.beta))
-
-
-def _coords_proportional(field, x, y) -> bool:
-    lead = next((i for i, v in enumerate(x) if not field.is_zero(v)), None)
-    lead_y = next((i for i, v in enumerate(y) if not field.is_zero(v)), None)
-    if lead is None or lead != lead_y:
-        return lead is None and lead_y is None
-    c = field.div(y[lead], x[lead])
-    return all(field.is_zero(field.sub(field.mul(c, a), b)) for a, b in zip(x, y))
+    w1, w2, w3 = pt.witness.rows
+    top = _wedge(_wedge(w1, w2, 1, 1, p), w3, 2, 1, p)
+    return _normalize(f, top) == _normalize(f, beta)
 
 
 # ---------------------------------------------------------------------------
@@ -516,30 +467,24 @@ def phi(data: SpecialLagrangianData, p1: SurfacePoint, p2: SurfacePoint):
     the connecting line to leave the Grassmannian cone: endpoints distinct
     and midpoint not decomposable.
     """
-    f = data.field
-    if _coords_proportional(f, list(p1.beta), list(p2.beta)):
+    f, p = data.field, data.p
+    b1, b2 = list(p1.beta), list(p2.beta)
+    if _normalize(f, b1) == _normalize(f, b2):
         raise DegenerateConfiguration("pair endpoints coincide")
-    b1, b2 = p1.mv(f), p2.mv(f)
-    mid = b1 + b2
-    if mid.is_zero():
+    mid = [f.add(x, y) for x, y in zip(b1, b2)]
+    if not any(mid):
         raise DegenerateConfiguration("pair endpoints are opposite")
-    ok, _ = is_decomposable(wedge_embed3(f, _coords3(mid)))
+    ok, _ = is_decomposable(MultiVector.from_vector(f, 3, w3_embed(f, mid)))
     if ok:
         raise DegenerateConfiguration("the connecting line lies on the Grassmannian")
     inv2 = f.inv(f.from_int(2))
-    coords_w = []
-    for i in range(1, 6):
-        cov = [f.zero] * 6
-        cov[i - 1] = f.one
-        val = f.add(vol5(contract(cov, b1), b2), vol5(contract(cov, b2), b1))
-        coords_w.append(f.mul(inv2, val))
-    c0 = data.q_star_polar(list(p1.kperp_coords), list(p2.kperp_coords))
-    coords_w.append(c0)
-    if all(f.is_zero(x) for x in coords_w):
+    coords_w = [f.mul(inv2, f.add(x, y))
+                for x, y in zip(_quadrics(b1, b2, p), _quadrics(b2, b1, p))]
+    coords_w.append(data.q_star_polar(list(p1.kperp_coords), list(p2.kperp_coords)))
+    coords_w = _normalize(f, coords_w)
+    if coords_w is None:
         raise DegenerateConfiguration("pair functional vanishes identically")
-    lead = next(i for i, x in enumerate(coords_w) if not f.is_zero(x))
-    inv = f.inv(coords_w[lead])
-    return tuple(f.mul(inv, x) for x in coords_w)
+    return tuple(coords_w)
 
 
 def phi_sextic_dim(data: SpecialLagrangianData, phi_vec) -> int:
@@ -551,11 +496,7 @@ def phi_sextic_dim(data: SpecialLagrangianData, phi_vec) -> int:
 
 
 def _quadric_row(data: SpecialLagrangianData, coords10):
-    f = data.field
-    mv = _mv3(f, list(coords10))
-    row = [plucker_quadric(f, i, mv) for i in range(1, 6)]
-    row.append(data.q_star(list(coords10)))
-    return row
+    return _quadrics(coords10, coords10, data.p) + [data.q_star(list(coords10))]
 
 
 def psi(data: SpecialLagrangianData, p1: SurfacePoint, p2: SurfacePoint,
@@ -604,7 +545,7 @@ def _adapt_basis(data: SpecialLagrangianData, p1: SurfacePoint, p2: SurfacePoint
     v1, v2, v4 span the pairwise intersections of the witness 3-spaces;
     v3 in U1 and v5 in U2 are chosen with v3 + v5 in U3.
     """
-    f = data.field
+    f, p = data.field, data.p
     U1, U2, U3 = p1.witness, p2.witness, p3.witness
     l12 = intersect(U1, U2)
     l13 = intersect(U1, U3)
@@ -614,46 +555,30 @@ def _adapt_basis(data: SpecialLagrangianData, p1: SurfacePoint, p2: SurfacePoint
     v1, v2, v4 = list(l12.rows[0]), list(l13.rows[0]), list(l23.rows[0])
     # v3 + v5 in U3 with v3 in U1, v5 in U2: impose the functionals cutting U3
     ells = right_nullspace([list(r) for r in U3.rows], f)
-    rows_sys = []
-    for ell in ells:
-        row = []
-        for bvec in U1.rows:
-            row.append(f.from_int(sum(f.mul(ell[i], bvec[i]) for i in range(5))))
-        for bvec in U2.rows:
-            row.append(f.from_int(sum(f.mul(ell[i], bvec[i]) for i in range(5))))
-        rows_sys.append(row)
-    sols = right_nullspace(rows_sys, f)
+    sols = right_nullspace(mat_mul(ells, transpose(U1.rows + U2.rows), f), f)
     if not sols:
         raise DegenerateConfiguration("no adapted third vector")
     for _ in range(60):
         coeffs = [f.random(rng) for _ in sols]
-        vec = [f.zero] * 6
-        for c, s in zip(coeffs, sols):
-            if f.is_zero(c):
-                continue
-            vec = [f.add(vec[i], f.mul(c, s[i])) for i in range(6)]
-        x, y = vec[:3], vec[3:]
-        v3 = [f.from_int(sum(f.mul(x[j], U1.rows[j][i]) for j in range(3))) for i in range(5)]
-        v5 = [f.from_int(sum(f.mul(y[j], U2.rows[j][i]) for j in range(3))) for i in range(5)]
-        basis = [v1, v2, v3, v4, v5]
-        if rank(basis, f) != 5:
+        vec = mat_mul([coeffs], sols, f)[0]
+        v3 = mat_mul([vec[:3]], U1.rows, f)[0]
+        v5 = mat_mul([vec[3:]], U2.rows, f)[0]
+        if rank([v1, v2, v3, v4, v5], f) != 5:
             continue
         # normalize the basis volume to 1 by rescaling v1: the pair images
         # then take the literal form (constant * v0 + basis vector)
-        rho = wedge(wedge(wedge(wedge(_mv1(f, v1), _mv1(f, v2)), _mv1(f, v3)),
-                          _mv1(f, v4)), _mv1(f, v5)).coefficient(VOL5)
+        v12 = _wedge(v1, v2, 1, 1, p)
+        rho = _wedge(_wedge(_wedge(v12, v3, 2, 1, p), v4, 3, 1, p), v5, 4, 1, p)[0]
         inv_rho = f.inv(rho)
-        w1 = [f.mul(inv_rho, x) for x in v1]
-        b1 = wedge(wedge(_mv1(f, w1), _mv1(f, v2)), _mv1(f, v3))
-        b2 = wedge(wedge(_mv1(f, w1), _mv1(f, v4)), _mv1(f, v5))
+        v1 = [f.mul(inv_rho, x) for x in v1]
+        b1 = _wedge(_wedge(v1, v2, 1, 1, p), v3, 2, 1, p)
+        b2 = _wedge(_wedge(v1, v4, 1, 1, p), v5, 2, 1, p)
         v35 = [f.add(a, b) for a, b in zip(v3, v5)]
-        b3 = wedge(wedge(_mv1(f, v2), _mv1(f, v4)), _mv1(f, v35))
-        v1 = w1
-        if b1.is_zero() or b2.is_zero() or b3.is_zero():
+        b3 = _wedge(_wedge(v2, v4, 1, 1, p), v35, 2, 1, p)
+        if not (any(b1) and any(b2) and any(b3)):
             continue
-        if not (_coords_proportional(f, _coords3(b1), list(p1.beta))
-                and _coords_proportional(f, _coords3(b2), list(p2.beta))
-                and _coords_proportional(f, _coords3(b3), list(p3.beta))):
+        if any(_normalize(f, b) != _normalize(f, list(q.beta))
+               for b, q in ((b1, p1), (b2, p2), (b3, p3))):
             raise AssertionError("adapted representatives do not match the points")
         return (v1, v2, v3, v4, v5), (b1, b2, b3)
     raise DegenerateConfiguration("could not adapt a basis to the triple")
@@ -670,31 +595,24 @@ def newsystem_dimension(data: SpecialLagrangianData, p1: SurfacePoint,
     stratum of the image, and the certificate that no nonzero solution has
     vanishing point-coefficients.
     """
-    f = data.field
-    (v1, v2, v3, v4, v5), (b1, b2, b3) = _adapt_basis(data, p1, p2, p3, rng)
-    betas = [_coords3(b) for b in (b1, b2, b3)]
+    f, p = data.field, data.p
+    (v1, v2, v3, v4, v5), betas = _adapt_basis(data, p1, p2, p3, rng)
     alphas = []
     for bc in betas:
         alpha = solve(transpose(data.ytil), list(bc), f)
         if alpha is None:
             raise AssertionError("adapted representative left the image of the map")
         alphas.append(alpha)
-    amv = [_mv2(f, a) for a in alphas]
-    bmv = [_mv3(f, b) for b in betas]
-    c12 = vol5(amv[0], bmv[1])
-    c13 = vol5(amv[0], bmv[2])
-    c23 = vol5(amv[1], bmv[2])
-    for val, other in ((c12, vol5(amv[1], bmv[0])), (c13, vol5(amv[2], bmv[0])),
-                       (c23, vol5(amv[2], bmv[1]))):
-        if not f.is_zero(f.sub(val, other)):
-            raise AssertionError("polar symmetry of the pair constants failed")
+    c12, c13, c23 = (_pairing(alphas[a], betas[b], p) for a, b in ((0, 1), (0, 2), (1, 2)))
+    if (c12, c13, c23) != tuple(_pairing(alphas[b], betas[a], p)
+                                for a, b in ((0, 1), (0, 2), (1, 2))):
+        raise AssertionError("polar symmetry of the pair constants failed")
     phi12 = [*v1, c12]
     phi13 = [*v2, c13]
     phi23 = [*v4, f.neg(c23)]
     # the normal-form representatives agree with the intrinsic pair map
     for rep, (qa, qb) in ((phi12, (p1, p2)), (phi13, (p1, p3)), (phi23, (p2, p3))):
-        intrinsic = phi(data, qa, qb)
-        if not _coords_proportional(f, list(intrinsic), rep):
+        if list(phi(data, qa, qb)) != _normalize(f, rep):
             raise AssertionError("normal-form pair image differs from the intrinsic one")
     phimv = [MultiVector.from_vector(f, 1, v) for v in (phi12, phi13, phi23)]
     gens = []
@@ -746,18 +664,11 @@ def _curve_points(data: SpecialLagrangianData, Uprime: LinearSubspace):
     """
     f = data.field
     p = data.p
-    t = [list(r) for r in Uprime.rows]
-    tm = [_mv1(f, v) for v in t]
-    pis = [wedge(tm[1], tm[2]), wedge(tm[0], tm[2]).scale(f.neg(f.one)),
-           wedge(tm[0], tm[1])]
+    t0, t1, t2 = Uprime.rows
+    pis = [_wedge(t1, t2, 1, 1, p), _wedge(t2, t0, 1, 1, p), _wedge(t0, t1, 1, 1, p)]
     # rows R[j][s][m] = vol5(kappa_j ^ pi_s ^ e_m)
-    R = np.zeros((3, 3, 5), dtype=np.int64)
-    kmv = [_mv2(f, list(r)) for r in data.K.rows]
-    for j in range(3):
-        for s in range(3):
-            kp = wedge(kmv[j], pis[s])
-            for m in range(5):
-                R[j, s, m] = int(vol5(kp, MultiVector.basis(f, (m + 1,))))
+    R = np.array([[_dual(_wedge(k, pi, 2, 2, p), 4, p) for pi in pis] for k in data.K.rows],
+                 dtype=np.int64)
     lams = []
     for desc in batched.projective_block_descriptors(3, p, chunk=1 << 14):
         lams.append(batched.build_projective_block(desc, 3, p))
@@ -765,26 +676,12 @@ def _curve_points(data: SpecialLagrangianData, Uprime: LinearSubspace):
     mats = np.einsum("ls,jsm->ljm", lams % p, R) % p
     ranks = batched.batch_rank(mats, p)
     points = []
-    for li in np.nonzero(ranks <= 2)[0]:
-        lam = [f.from_int(int(x)) for x in lams[li]]
-        pim = MultiVector.zero(f, 2)
-        for c, pv in zip(lam, pis):
-            if not f.is_zero(c):
-                pim = pim + pv.scale(c)
-        rows = [[f.from_int(int(mats[li, j, m])) for m in range(5)] for j in range(3)]
-        ker = right_nullspace(rows, f)
-        found = None
-        for v in ker:
-            omega = wedge(pim, _mv1(f, v))
-            if not omega.is_zero():
-                found = omega
-                break
-        if found is None:
-            continue
-        coords = _coords3(found)
-        lead = next(i for i, x in enumerate(coords) if not f.is_zero(x))
-        inv = f.inv(coords[lead])
-        points.append(tuple(f.mul(inv, x) for x in coords))
+    hits = np.nonzero(ranks <= 2)[0]
+    for li, pim in zip(hits, mat_mul(lams[hits].tolist(), pis, f)):
+        omegas = (_wedge(pim, v, 2, 1, p) for v in right_nullspace(mats[li].tolist(), f))
+        found = next((_normalize(f, w) for w in omegas if any(w)), None)
+        if found is not None:
+            points.append(tuple(found))
     return sorted(set(points))
 
 
@@ -826,63 +723,34 @@ def residual_triple(data: SpecialLagrangianData, p1: SurfacePoint,
         if intersect(U, Uprime).dim != 2:
             raise DegenerateConfiguration("distinguished space fails the 2-plane meetings")
     points = _curve_points(data, Uprime)
-    norm = {}
-    for pt in points:
-        norm[pt] = pt
     betas = [tuple(_normalize(f, list(q.beta))) for q in (p1, p2, p3)]
-    if not all(b in norm for b in betas):
+    if not set(betas) <= set(points):
         raise DegenerateConfiguration("triple points missing from the curve scan")
-    span_rows = [list(pt) for pt in points]
-    spanC = LinearSubspace.from_vectors(f, 10, span_rows)
+    spanC = LinearSubspace.from_vectors(f, 10, points)
     if spanC.dim != 4:
         raise DegenerateConfiguration(f"curve spans dimension {spanC.dim}, not 4")
     # projection forms vanishing on the chord through beta1, beta2
     chord = LinearSubspace.from_vectors(f, 10, [list(betas[0]), list(betas[1])])
     ann = right_nullspace([list(r) for r in chord.rows], f)
-
-    def restricted(ell):
-        return [f.from_int(sum(f.mul(ell[i], spanC.rows[j][i]) for i in range(10)))
-                for j in range(4)]
-
+    spanT = transpose(spanC.rows)
     ells = None
     for _ in range(40):
-        cand = []
-        for _ in range(2):
-            coeffs = [f.random(rng) for _ in ann]
-            vec = [f.zero] * 10
-            for c, a in zip(coeffs, ann):
-                if f.is_zero(c):
-                    continue
-                vec = [f.add(vec[i], f.mul(c, a[i])) for i in range(10)]
-            cand.append(vec)
-        if rank([restricted(cand[0]), restricted(cand[1])], f) == 2:
-            ells = cand
+        cand = mat_mul([[f.random(rng) for _ in ann] for _ in range(2)], ann, f)
+        if rank(mat_mul(cand, spanT, f), f) == 2:
+            ells = transpose(cand)
             break
     if ells is None:
         raise DegenerateConfiguration("no independent projection forms on the curve span")
 
-    def param_of(coords):
-        l1 = f.from_int(sum(f.mul(ells[0][i], coords[i]) for i in range(10)))
-        l2 = f.from_int(sum(f.mul(ells[1][i], coords[i]) for i in range(10)))
-        if f.is_zero(l1) and f.is_zero(l2):
-            return None
-        return (l1, l2)
-
-    data_pts = []
-    for pt in points:
-        if pt in (betas[0], betas[1]):
-            continue
-        t = param_of(list(pt))
-        if t is None:
-            continue
-        data_pts.append((t, pt))
-    seen = {}
+    data_pts = [(tuple(t), pt) for pt, t in zip(points, mat_mul(points, ells, f))
+                if pt not in (betas[0], betas[1]) and any(t)]
+    seen = set()
     fit_pts = []
     for t, pt in data_pts:
         key = _proj_param(f, t)
         if key in seen:
             continue
-        seen[key] = pt
+        seen.add(key)
         fit_pts.append((t, pt))
         if len(fit_pts) == 8:
             break
@@ -894,8 +762,7 @@ def residual_triple(data: SpecialLagrangianData, p1: SurfacePoint,
     rows_fit = []
     for i, (t, pt) in enumerate(fit_pts):
         c = data.kperp_coords_of(list(pt))
-        s0, t0 = t
-        mono = [f.mul(pow(s0, d, f.p), pow(t0, 3 - d, f.p)) for d in range(4)]
+        mono = _monomials(f, *t)
         for r in range(7):
             row = [f.zero] * cols
             for d in range(4):
@@ -909,25 +776,17 @@ def residual_triple(data: SpecialLagrangianData, p1: SurfacePoint,
     if any(f.is_zero(ker[0][28 + i]) for i in range(nuk)):
         raise DegenerateConfiguration("degenerate fit scalar")
 
-    def omega_at(s0, t0):
-        mono = [f.mul(pow(s0, d, f.p), pow(t0, 3 - d, f.p)) for d in range(4)]
-        c = [f.from_int(sum(f.mul(mono[d], W[d][r]) for d in range(4))) for r in range(7)]
-        coords = [f.zero] * 10
-        for a, ca in enumerate(c):
-            if f.is_zero(ca):
-                continue
-            row = data.kperp.rows[a]
-            coords = [f.add(coords[i], f.mul(ca, row[i])) for i in range(10)]
-        return coords
+    curve = mat_mul(W, data.kperp.rows, f)
+
+    def omega_at(params):
+        return mat_mul([_monomials(f, s0, t0) for s0, t0 in params], curve, f)
 
     # locate the parameters of all three triple points by scanning P^1
     param_points = [(f.from_int(s), f.one) for s in range(p)] + [(f.one, f.zero)]
     where = {}
-    for s0, t0 in param_points:
-        coords = omega_at(s0, t0)
-        if all(f.is_zero(x) for x in coords):
-            continue
-        where[_proj_param(f, (s0, t0))] = tuple(_normalize(f, coords))
+    for st, coords in zip(param_points, omega_at(param_points)):
+        if any(coords):
+            where[_proj_param(f, st)] = tuple(_normalize(f, coords))
     param_by_key = {_proj_param(f, pt): pt for pt in param_points}
     beta_params = []
     for b in betas:
@@ -937,16 +796,7 @@ def residual_triple(data: SpecialLagrangianData, p1: SurfacePoint,
         beta_params.append(param_by_key[found[0]])
     # the restriction of the extra quadric: a binary sextic
     ring = PolyRing(f)
-    cpolys = []
-    for r in range(7):
-        cpolys.append(tuple(W[d][r] for d in range(4)))  # ascending in s (t = 1)
-    sextic = ring.zero
-    for a in range(7):
-        for b in range(7):
-            g = data.gram_star[a][b]
-            if f.is_zero(g):
-                continue
-            sextic = ring.add(sextic, ring.scale(g, ring.mul(cpolys[a], cpolys[b])))
+    sextic = data.q_star_on(ring, list(zip(*W)))   # coefficients ascending in s (t = 1)
     sext = list(sextic) + [f.zero] * (7 - len(sextic))
     for s0, t0 in beta_params:
         if not f.is_zero(_eval_binary(ring, sext, s0, t0)):
@@ -965,8 +815,7 @@ def residual_triple(data: SpecialLagrangianData, p1: SurfacePoint,
     if len(set(keys)) != 3 or set(keys) & set(beta_keys):
         return None
     gammas = []
-    for s0, t0 in roots:
-        coords = omega_at(s0, t0)
+    for coords in omega_at(roots):
         pt = _finish_point(data, coords)
         if pt is None:
             return None
@@ -980,6 +829,11 @@ def residual_triple(data: SpecialLagrangianData, p1: SurfacePoint,
     return gammas, info
 
 
+def _monomials(f, s0, t0):
+    """s^d t^(3-d) at (s0, t0) for d = 0..3."""
+    return [f.mul(pow(s0, d, f.p), pow(t0, 3 - d, f.p)) for d in range(4)]
+
+
 def _eval_binary(ring: PolyRing, form, s0, t0):
     p, n = ring.field.p, len(form) - 1
     return sum(c * pow(s0, d, p) * pow(t0, n - d, p) for d, c in enumerate(form)) % p
@@ -990,9 +844,3 @@ def _proj_param(f, t):
     if not f.is_zero(t0):
         return ("a", f.to_str(f.div(s0, t0)))
     return ("inf",)
-
-
-def _normalize(f, coords):
-    lead = next(i for i, x in enumerate(coords) if not f.is_zero(x))
-    inv = f.inv(coords[lead])
-    return [f.mul(inv, x) for x in coords]

@@ -213,6 +213,8 @@ def is_decomposable(omega: MultiVector):
 
 
 def random_subspace(field, ambient, dim, rng) -> LinearSubspace:
+    if not 0 <= dim <= ambient:
+        raise ValueError(f"no {dim}-dimensional subspace of a {ambient}-dimensional space")
     while True:
         rows = [[field.random(rng) for _ in range(ambient)] for _ in range(dim)]
         S = LinearSubspace.from_vectors(field, ambient, rows)

@@ -147,6 +147,8 @@ def symmetric_with_kernel(field, n, kernel_rows, rng):
     """
     k = len(kernel_rows)
     cols = [list(v) for v in kernel_rows]
+    if k > n or any(len(v) != n for v in cols) or rank(cols, field) != k:
+        raise ValueError(f"the kernel needs at most {n} independent rows of length {n}")
     while len(cols) < n:
         cand = [field.random(rng) for _ in range(n)]
         if rank(cols + [cand], field) == len(cols) + 1:

@@ -297,27 +297,20 @@ def _cherns_from_ch(ch, rank, n_max=G36_DIM):
     return out
 
 
-_CHERN_T_DUAL = None
-
-
+@lru_cache(maxsize=None)
 def chern_t_dual():
     """Chern classes c_0..c_10 of the rank-10 bundle extending the twisted
     cotangent bundle by the Pluecker line bundle.
 
     c(T^dual) = c(Omega(1)) * (1 + h) with Omega = S tensor Q^dual.
     """
-    global _CHERN_T_DUAL
-    if _CHERN_T_DUAL is not None:
-        return _CHERN_T_DUAL
     ch_s = _chern_character(3, [chern_sub(i) for i in range(4)])
     ch_qd = _chern_character(3, [chern_quot(i).scale((-1) ** i) for i in range(4)])
     ch_omega1 = _ch_mul(_ch_mul(ch_s, ch_qd), _ch_exp_line(H))
     ch_o1 = _ch_exp_line(H)
     ch_t = [a + b for a, b in zip(ch_omega1, ch_o1)]
     cs = _cherns_from_ch(ch_t, 10)
-    cs = cs + [ChowClassG36.zero()] * (11 - len(cs))
-    _CHERN_T_DUAL = cs[:11]
-    return _CHERN_T_DUAL
+    return tuple(cs + [ChowClassG36.zero()] * (11 - len(cs)))[:11]
 
 
 def pr_class(k: int) -> ChowClassG36:

@@ -193,6 +193,7 @@ def sigma_probe(A: LagrangianSubspace, trials: int = 2000, rng=None,
     and none-found stays inconclusive.
     """
     p = _require_prime_field(A)
+    batched.check_chunk(chunk)
     AM = _rows_array(A) % p
     forms = batched.restricted_quadrics(AM, p)
     if p <= SIGMA_EXHAUSTIVE_MAX_PRIME:

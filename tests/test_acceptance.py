@@ -4,6 +4,9 @@ Each test prints one pass/fail line; run with ``pytest -s`` to see them.
 The census criterion is the long pole (a few minutes at p = 5).
 """
 
+import hashlib
+import json
+
 import pytest
 
 from lagstrata import acceptance
@@ -51,8 +54,25 @@ def test_criterion_08_census():
     _report(acceptance.criterion_8_census())
 
 
+def _digest(obj):
+    """sha256 of json.dumps(obj, sort_keys=True) with every elapsed_ms stripped."""
+    def strip(x):
+        if isinstance(x, dict):
+            return {k: strip(v) for k, v in x.items() if k != "elapsed_ms"}
+        if isinstance(x, list):
+            return [strip(v) for v in x]
+        return x
+    return hashlib.sha256(json.dumps(strip(obj), sort_keys=True).encode()).hexdigest()
+
+
 def test_criterion_09_dual_k3():
-    _report(acceptance.criterion_9_dual_k3())
+    result = acceptance.criterion_9_dual_k3()
+    _report(result)
+    # the draws as they were when the dual-K3 algebra went through MultiVector
+    assert _digest(result.checks) == (
+        "6d58480346e478a15cf4d793bcbc6f1a8e93a682596942b1ecc810c586016184")
+    assert _digest(result.results) == (
+        "05821d21c8855b211e2c793b43cc8b89bb8671bd9aebafa4f06e0c7521bb4044")
 
 
 def test_criterion_10_hilb_ledger():

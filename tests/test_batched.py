@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -305,3 +307,54 @@ def test_quadric_zeros_bound_refused_past_the_edge():
         batched.check_exact(p, terms=65)  # 65 * 180^2 = 2,106,000 > 2^21
     with pytest.raises(ValueError):
         batched.quadric_zeros(np.zeros((1, 65)), np.zeros((1, 65, 65), dtype=np.float32), p)
+
+
+@pytest.mark.parametrize("chunk", [0, -1])
+def test_block_descriptors_reject_empty_chunks(chunk):
+    # a chunk below 1 would append empty descriptors forever
+    with pytest.raises(ValueError):
+        batched.grassmann_block_descriptors(3, chunk=chunk)
+    with pytest.raises(ValueError):
+        batched.projective_block_descriptors(3, 5, chunk=chunk)
+
+
+def test_parallel_map_starts_at_most_one_worker_per_item_and_cpu(monkeypatch):
+    started = []
+
+    class Recorder:
+        """Stands in for ThreadPoolExecutor and maps in the calling thread."""
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(batched, "ThreadPoolExecutor", Recorder)
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    square = lambda x: x * x  # noqa: E731
+    assert batched.parallel_map(square, list(range(1485)), threads=1485) == [
+        x * x for x in range(1485)]
+    assert batched.parallel_map(square, [3, 4, 5], threads=64) == [9, 16, 25]
+    assert batched.parallel_map(square, list(range(10)), threads=2) == [
+        x * x for x in range(10)]
+    assert batched.parallel_map(square, [7], threads=8) == [49]
+    want = [min(t, n, cpus) for t, n in ((1485, 1485), (64, 3), (2, 10), (8, 1))]
+    assert started == [w for w in want if w > 1]
+    assert all(1 < w <= cpus for w in started)
+
+
+def test_sign_tensors_bytes_pinned():
+    import hashlib
+    for table, shape, digest in (
+            (batched.tri_biv_to_five(), (20, 15, 6),
+             "23b0d104df73895fe2a9b1528ebf843b4d18c0ba323f0f05368942ca5b867482"),
+            (batched.vec_tri_to_four(), (6, 20, 15),
+             "1d4947bb59585d45421b84d1e855c626454e41d69cd39e9653d483261ccb25c6")):
+        assert table.dtype == np.int64 and table.shape == shape
+        assert hashlib.sha256(table.tobytes()).hexdigest() == digest

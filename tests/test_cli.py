@@ -188,6 +188,24 @@ def test_dual_k3_results_are_pinned(experiment):
     assert _results_digest(res) == DUALK3_RESULT_SHA[experiment]
 
 
+# the same at `--prime 13 --seed 5`, as the CLI reported them when the
+# dual-K3 algebra went through MultiVector; residual is left out, as at
+# p = 13 it redraws about 190 times for 5 successes
+DUALK3_P13_RESULT_SHA = {
+    "phi": "cf33d61f5be337b5ec7cb9a73790c645ab360b02ed4ed86179e0722bdb1a5d26",
+    "psi": "7101015a01cc55342521d5a77309905f906bd18704c79e4f1eeefbb1b70ff600",
+    "newsystem": "fced2f6afb0088503939fe7d54263a1b2ad48eaa4f07850726e8542da8d6de0c",
+}
+
+
+@pytest.mark.parametrize("experiment", sorted(DUALK3_P13_RESULT_SHA))
+def test_dual_k3_results_at_p13_are_pinned(experiment):
+    res = invoke("dual-k3", "--prime", "13", "--seed", "5", "--experiment", experiment,
+                 "--trials", "5", "--json-only")
+    assert res.exit_code == 0
+    assert _results_digest(res) == DUALK3_P13_RESULT_SHA[experiment]
+
+
 # sha256 of the stripped results (json.dumps with sort_keys) of `census`, as
 # the CLI reported them when it built the census itself
 CENSUS_RESULT_SHA = {

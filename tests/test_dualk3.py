@@ -1,10 +1,15 @@
 import itertools
+import os
 import random
+import subprocess
+import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import lagstrata
 from lagstrata.fields import GF
-from lagstrata.exterior import MultiVector
+from lagstrata.exterior import MultiVector, wedge, wedge_coefficient, contract
 from lagstrata.linalg import LinearSubspace, right_nullspace, intersect, rank
 from lagstrata.lagrangian import is_lagrangian, f_space, intersection_dim
 from lagstrata.strata import delta_witnesses, stratum
@@ -12,9 +17,39 @@ from lagstrata import dualk3
 from lagstrata.dualk3 import (build_special_a, sample_s_a_point, phi,
                               phi_sextic_dim, psi, psi_stratum,
                               newsystem_dimension, residual_triple,
-                              verify_surface_point, pairing_2v_3v,
-                              v0_wedge_coords, DegenerateConfiguration,
-                              RetryBudgetError, IDX2V)
+                              verify_surface_point, v0_wedge_coords,
+                              DegenerateConfiguration, RetryBudgetError, SUBV, IDXV)
+
+IDX2V = IDXV[2]
+
+
+# The MultiVector route: the reference the coordinate table is tested against.
+
+def _mv(field, grade, coords):
+    return MultiVector(field, grade, {SUBV[grade][i]: c for i, c in enumerate(coords)
+                                      if not field.is_zero(c)})
+
+
+def _vol5(x: MultiVector, y: MultiVector):
+    return wedge_coefficient(x, y, (1, 2, 3, 4, 5))
+
+
+def _pairing_2v_3v(field):
+    """10x10 matrix of (alpha, beta) -> vol5(alpha ^ beta)."""
+    return [[_vol5(MultiVector.basis(field, I), MultiVector.basis(field, J))
+             for J in SUBV[3]] for I in SUBV[2]]
+
+
+def _plucker_quadric(field, i, beta: MultiVector):
+    """q_i(beta) = vol5((e_i* -| beta) ^ beta)."""
+    cov = [field.zero] * 6
+    cov[i - 1] = field.one
+    return _vol5(contract(cov, beta), beta)
+
+
+def _is_decomposable_2v(kappa: MultiVector) -> bool:
+    """A two-form has rank <= 2 iff its wedge square vanishes."""
+    return wedge(kappa, kappa).is_zero()
 
 
 @pytest.fixture(scope="module")
@@ -36,7 +71,7 @@ def test_kperp_dimension_by_direct_pairing_kernel():
         r = [field.zero] * 10
         r[IDX2V[pair]] = field.one
         rows.append(r)
-    P = pairing_2v_3v(field)
+    P = _pairing_2v_3v(field)
     from lagstrata.linalg import mat_mul
     restricted = mat_mul(rows, P, field)
     assert len(right_nullspace(restricted, field)) == 7
@@ -101,8 +136,7 @@ def test_q_star_well_defined(data, rng):
         shifted = list(alpha)
         for cc, krow in zip(kshift, data.K.rows):
             shifted = [f.add(shifted[i], f.mul(cc, krow[i])) for i in range(10)]
-        from lagstrata.dualk3 import _mv2, _mv3, vol5
-        assert vol5(_mv2(f, shifted), _mv3(f, beta)) == base
+        assert _vol5(_mv(f, 2, shifted), _mv(f, 3, beta)) == base
     assert data.q_star([f.zero] * 10) == f.zero
 
 
@@ -246,9 +280,7 @@ def _plane_meets_decomposables(field, rows):
         if not any(coeffs):
             continue
         coords = [sum(c * int(r[i]) for c, r in zip(coeffs, rows)) % p for i in range(10)]
-        kappa = MultiVector(field, 2, {dualk3.SUB2V[i]: field.from_int(x)
-                                       for i, x in enumerate(coords) if x})
-        if dualk3.bivector_is_decomposable(field, kappa):
+        if _is_decomposable_2v(_mv(field, 2, coords)):
             return True
     return False
 
@@ -262,7 +294,7 @@ def test_decomposable_in_plane_against_brute_force(p):
         rows = [[field.random(rng) for _ in range(10)] for _ in range(3)]
         if rank(rows, field) == 3:
             planes.append(rows)
-    e12 = [field.one if s == (1, 2) else field.zero for s in dualk3.SUB2V]
+    e12 = [field.one if s == (1, 2) else field.zero for s in SUBV[2]]
     planes[0][rng.randrange(3)] = e12
     # e12 = row 0 - row 1 with no decomposable basis row
     planes[1][0] = [field.add(x, y) for x, y in zip(e12, planes[1][1])]
@@ -274,6 +306,66 @@ def test_decomposable_in_plane_against_brute_force(p):
         if hit is not None:
             kappa = MultiVector.zero(field, 2)
             for c, r in zip(hit, rows):
-                kappa = kappa + dualk3._mv2(field, r).scale(c)
-            assert not kappa.is_zero() and dualk3.bivector_is_decomposable(field, kappa)
+                kappa = kappa + _mv(field, 2, r).scale(c)
+            assert not kappa.is_zero() and _is_decomposable_2v(kappa)
     assert verdicts[:2] == [True, True]
+
+
+def _coords(draw, field, grade):
+    return draw(st.lists(st.integers(0, field.p - 1), min_size=len(SUBV[grade]),
+                         max_size=len(SUBV[grade])))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_table_wedge_matches_multivector_wedge(data):
+    # every grade pair g + h <= 5 of wedge^* V
+    field = GF(data.draw(st.sampled_from([7, 101])))
+    g = data.draw(st.integers(0, 5))
+    h = data.draw(st.integers(0, 5 - g))
+    x, y = _coords(data.draw, field, g), _coords(data.draw, field, h)
+    want = wedge(_mv(field, g, x), _mv(field, h, y))
+    assert dualk3._wedge(x, y, g, h, field.p) == [want.coefficient(K) for K in SUBV[g + h]]
+    # vol5(x ^ .) as coordinates on wedge^(5-g) V
+    assert dualk3._dual(x, g, field.p) == [
+        _vol5(_mv(field, g, x), MultiVector.basis(field, J)) for J in SUBV[5 - g]]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_pairing_and_pluecker_quadrics_match_the_contract_route(data):
+    field = GF(data.draw(st.sampled_from([7, 101])))
+    p = field.p
+    a = _coords(data.draw, field, 2)
+    x, y = _coords(data.draw, field, 3), _coords(data.draw, field, 3)
+    mx, my = _mv(field, 3, x), _mv(field, 3, y)
+    assert dualk3._pairing(a, x, p) == _vol5(_mv(field, 2, a), mx)
+    assert dualk3._pairing(a, x, p) == sum(
+        ai * Pij * xj for ai, row in zip(a, _pairing_2v_3v(field))
+        for Pij, xj in zip(row, x)) % p
+    assert dualk3._quadrics(x, x, p) == [_plucker_quadric(field, i, mx) for i in range(1, 6)]
+    # the polar used by the pair map: q_i(x + y) - q_i(x) - q_i(y)
+    polar = [field.add(u, v) for u, v in zip(dualk3._quadrics(x, y, p),
+                                             dualk3._quadrics(y, x, p))]
+    assert polar == [field.sub(_plucker_quadric(field, i, mx + my),
+                               field.add(_plucker_quadric(field, i, mx),
+                                         _plucker_quadric(field, i, my)))
+                     for i in range(1, 6)]
+
+
+def test_sign_tables_are_not_built_at_import():
+    src = os.path.dirname(os.path.dirname(lagstrata.__file__))
+    code = ("import lagstrata.cli\n"
+            "from lagstrata import dualk3\n"
+            "print([t.cache_info().currsize for t in "
+            "(dualk3._signs, dualk3._plucker_terms, dualk3.sqrt_table)])")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "[0, 0, 0]"
+
+
+def test_normalize_scales_the_lead_to_one_and_sends_zero_to_none():
+    field = GF(7)
+    assert dualk3._normalize(field, [0, 3, 6, 1]) == [0, 1, 2, 5]
+    assert dualk3._normalize(field, [0, 7, 0]) is None

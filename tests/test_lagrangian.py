@@ -15,6 +15,15 @@ from lagstrata.lagrangian import (tangent_space, f_space, is_lagrangian,
 F101 = GF(101)
 
 
+def test_random_subspace_rejects_impossible_dimensions():
+    for ambient, dim in ((3, 4), (3, -1)):
+        rng = random.Random(0)
+        with pytest.raises(ValueError):
+            random_subspace(GF(2), ambient, dim, rng)
+        assert rng.getstate() == random.Random(0).getstate()
+    assert random_subspace(GF(2), 3, 3, random.Random(0)).dim == 3
+
+
 def basis_subspace(field, idxs):
     rows = [[field.one if j + 1 == i else field.zero for j in range(6)] for i in idxs]
     return LinearSubspace.from_vectors(field, 6, rows)

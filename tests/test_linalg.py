@@ -123,6 +123,19 @@ def test_symmetric_with_kernel(field):
         assert LinearSubspace.from_vectors(field, 8, ns) == K
 
 
+@pytest.mark.parametrize("rows", [
+    [[1, 0, 0], [1, 0, 0]],                            # dependent: no completion exists
+    [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1]],      # more rows than n
+    [[1, 0, 0, 0]],                                    # a row of length 4 in n = 3
+    [[1, 0]],                                          # a row of length 2 in n = 3
+])
+def test_symmetric_with_kernel_rejects_bad_kernels(rows):
+    rng = random.Random(0)
+    with pytest.raises(ValueError):
+        symmetric_with_kernel(GF(5), 3, rows, rng)
+    assert rng.getstate() == random.Random(0).getstate()
+
+
 def test_subspace_json_roundtrip():
     for field in (QQ, GF(13)):
         rng = random.Random(5)

@@ -217,6 +217,12 @@ def test_sigma_probe_sampling_mode():
     assert not res.exhaustive
     with pytest.raises(ValueError):
         sigma_probe(A)  # sampling regime requires an rng
+    # chunk < 1 would draw blocks of no points forever
+    rng = random.Random(1)
+    for chunk in (0, -1):
+        with pytest.raises(ValueError):
+            sigma_probe(A, trials=500, rng=rng, chunk=chunk)
+    assert rng.getstate() == random.Random(1).getstate()
 
 
 def test_sigma_verdicts_over_p2_seeds():

@@ -3,7 +3,14 @@
 All arrays hold integers in float32.  Every value stays below EXACT_LIMIT
 = 2^21 in magnitude, where ``_reduce_mod`` is exact (at 2^23 it is not:
 p = 167 first fails at 4954555); ``check_exact`` is the one place that
-bounds the entry growth of ``batch_rank`` and the sums of ``quadric_zeros``.
+bounds the entry growth of ``batch_rank``, the census kernel and the sums of
+``quadric_zeros``.
+
+The census kernel ``intersection_dims_for_groups`` shares work between
+subspaces with the same first two echelon rows: per (u_1, u_2) group it
+eliminates the four Gram rows of u_1^u_2 once (rank additivity), and then
+ranks one 6x6 residual per free value of u_3; groups whose four rows are
+dependent fall back to the 10x10 Gram rank of ``intersection_dims_for_batch``.
 Decomposability is tested by the Pluecker quadrics of G(3,6), which cut out
 the decomposable trivectors over every field (Fulton, *Young Tableaux*, §9).
 The pure-Python echelon code in :mod:`lagstrata.linalg` is the reference
@@ -82,28 +89,37 @@ def batch_rank(mats: np.ndarray, p: int, stop_rank: int | None = None,
     else:
         a = np.ascontiguousarray(src if assume_reduced else np.mod(src, p), dtype=np.float32)
     steps = a.shape[0]
-    inv = inverse_table(p)
     rank = np.zeros(N, dtype=np.int64)
     aN = np.arange(N)
-    buf = np.empty_like(a)
+    buf = np.empty_like(a[1:])
     target = steps if stop_rank is None else min(steps, stop_rank)
     for s in range(steps):
         if N == 0 or (rank >= target).all():
             break
-        line = a[s]
-        _reduce_mod(line, p)
-        piv = np.argmax(line != 0, axis=0)
-        pval = line[piv, aN]
-        rank += pval != 0
-        if s + 1 == steps:
-            break
-        factors = line * inv[pval.astype(np.intp)]
-        _reduce_mod(factors, p)
-        prow = a[s + 1:, piv, aN]
-        _reduce_mod(prow, p)
-        np.multiply(prow[:, None, :], factors[None, :, :], out=buf[s + 1:])
-        a[s + 1:] -= buf[s + 1:]
+        rank += _eliminate_line(a, s, p, aN, buf)[1] != 0
     return rank
+
+
+def _eliminate_line(a: np.ndarray, s: int, p: int, aN: np.ndarray, buf: np.ndarray):
+    """Step s of ``batch_rank``'s elimination of a float32 (lines, width, N)
+    array: reduce line s, take its first nonzero entry as pivot, and clear
+    that column from lines s+1: with unreduced updates (each subtracts at
+    most (p - 1)^2).  Returns the pivot columns and values; a zero value
+    means line s is zero mod p, and then the update subtracts nothing.
+    ``aN`` is arange(N) and ``buf`` a scratch array shaped like a[1:]."""
+    line = a[s]
+    _reduce_mod(line, p)
+    piv = np.argmax(line != 0, axis=0)
+    flat = piv * aN.size + aN       # a take on flat lines beats a 2-array gather
+    pval = line.reshape(-1)[flat]
+    if s + 1 < a.shape[0]:
+        factors = line * inverse_table(p)[pval.astype(np.intp)]
+        _reduce_mod(factors, p)
+        prow = np.take(a[s + 1:].reshape(a.shape[0] - s - 1, -1), flat, axis=1)
+        _reduce_mod(prow, p)
+        np.multiply(prow[:, None, :], factors[None, :, :], out=buf[s:])
+        a[s + 1:] -= buf[s:]
+    return piv, pval
 
 
 @lru_cache(maxsize=None)
@@ -169,6 +185,14 @@ def bivectors_of_rows(mats: np.ndarray, p: int) -> np.ndarray:
     return out.transpose(2, 0, 1)
 
 
+def _pattern_blocks(D: np.ndarray, P) -> np.ndarray:
+    """The four column blocks of D the Gram rows of pivot pattern P meet, as
+    a (40, 15) array: rows 10 b + m pair a bivector with a_m against e_c for
+    the b-th c outside P (b < 3) and for c = P_3 (b = 3)."""
+    blocks = [5 - c for c in range(6) if c not in P] + [5 - P[2]]
+    return D.reshape(15, 6, 10)[:, blocks].transpose(1, 2, 0).reshape(40, 15)
+
+
 def intersection_dims_for_batch(mats: np.ndarray, D: np.ndarray, p: int) -> np.ndarray:
     """dim(A ∩ T_U) for each 3x6 matrix in the batch, given D from above.
 
@@ -187,13 +211,10 @@ def intersection_dims_for_batch(mats: np.ndarray, D: np.ndarray, p: int) -> np.n
         raise ValueError("intersection_dims_for_batch needs 3x6 row-echelon matrices")
     codes = lead @ np.array([36, 6, 1])
     keys = np.unique(codes)
-    D5 = D.reshape(15, 6, 10)
     dims = np.empty(mats.shape[0], dtype=np.int64)
     for key in keys:
         idx = slice(None) if keys.size == 1 else np.nonzero(codes == key)[0]
-        P = (key // 36, key // 6 % 6, key % 6)
-        blocks = [5 - c for c in range(6) if c not in P] + [5 - P[2]]
-        Dt = D5[:, blocks].transpose(1, 2, 0).reshape(40, 15)
+        Dt = _pattern_blocks(D, (key // 36, key // 6 % 6, key % 6))
         B = bivectors_of_rows(mats[idx], p).transpose(1, 2, 0)
         gram = np.empty((10, 10, B.shape[2]), dtype=np.float32)
         # u_1^u_2 against all four blocks, u_1^u_3 and u_2^u_3 against three
@@ -248,15 +269,128 @@ def grassmann_block_descriptors(p: int, chunk: int = 32768, n: int = 6, k: int =
     return out
 
 
-def build_grassmann_block(desc, p: int) -> np.ndarray:
-    pattern, slots, start, count = desc
-    mats = np.zeros((count, 3, 6), dtype=np.int64)
+def echelon_rows(pattern, slots, codes, p: int) -> np.ndarray:
+    """The echelon bases (N, 3, 6) int64 of the given codes of one pivot
+    pattern: pivot entries 1, and the t-th free slot holds base-p digit t
+    of the code (digits by successive divmod, least significant first)."""
+    mats = np.zeros((len(codes), 3, 6), dtype=np.int64)
     for i, pc in enumerate(pattern):
         mats[:, i, pc] = 1
-    codes = np.arange(start, start + count, dtype=np.int64)
-    for t, (i, c) in enumerate(slots):
-        mats[:, i, c] = (codes // p**t) % p
+    rest = np.array(codes, dtype=np.int64)
+    for i, c in slots:
+        np.divmod(rest, p, out=(rest, mats[:, i, c]))
     return mats
+
+
+def build_grassmann_block(desc, p: int) -> np.ndarray:
+    pattern, slots, start, count = desc
+    return echelon_rows(pattern, slots, np.arange(start, start + count, dtype=np.int64), p)
+
+
+def _u3_free(slots) -> int:
+    """The number of free slots in u_3; they are the last slots."""
+    return sum(i == 2 for i, _ in slots)
+
+
+def group_block_descriptors(p: int, chunk: int = 32768):
+    """Disjoint blocks of (u_1, u_2) groups covering G(3, F_p^6) once.
+
+    In a pattern with n free slots, f of them in u_3, a code splits as
+    g + p^(n-f) c: the group g fixes u_1 and u_2 (their digits come first)
+    and c the free entries of u_3.  A descriptor (pattern, slots, first,
+    groups) covers groups first .. first + groups - 1 with every c, about
+    ``chunk`` subspaces (at least one group, so at most p^3 subspaces).
+    """
+    check_chunk(chunk)
+    out = []
+    for pattern in pivot_patterns():
+        slots = tuple(free_slots(pattern))
+        f = _u3_free(slots)
+        total = p ** (len(slots) - f)
+        step = max(1, chunk // p**f)
+        for first in range(0, total, step):
+            out.append((pattern, slots, first, min(step, total - first)))
+    return out
+
+
+def group_block_codes(desc, p: int) -> np.ndarray:
+    """Codes g + p^(n-f) c of a group block as a (p^f, groups) array; its C
+    order is enumeration order."""
+    pattern, slots, first, groups = desc
+    f = _u3_free(slots)
+    c = np.arange(p**f, dtype=np.int64)[:, None] * p ** (len(slots) - f)
+    return c + np.arange(first, first + groups, dtype=np.int64)
+
+
+@lru_cache(maxsize=None)
+def _wedge_basis_vector() -> np.ndarray:
+    """W[k, j, i] = bivector coordinate j of e_i ^ e_k; shape (6, 15, 6)."""
+    ia, ib = _pair_indices()
+    W = np.zeros((6, 15, 6), dtype=np.float32)
+    for j, (a, b) in enumerate(zip(ia, ib)):
+        W[b, j, a] = 1
+        W[a, j, b] = -1
+    return W
+
+
+def intersection_dims_for_groups(desc, D: np.ndarray, p: int) -> np.ndarray:
+    """dim(A ∩ T_U) for every U of a group block, as a (p^f, groups) array
+    in the layout of ``group_block_codes``; D from ``tangent_gram_blocks``.
+
+    The Gram matrix of ``intersection_dims_for_batch`` stacks a 4x10 block X
+    (u_1^u_2 against four blocks of D), fixed by the group, on a 6x10 block
+    Y (u_1^u_3, u_2^u_3 against three), which is affine in the free entries
+    x of u_3: Y = Y_0 + sum_t x_t Y_t.  Rank is additive, rank [X; Y] =
+    rank X + rank(Y mod the rows of X), so when rank X = 4 the group's X is
+    eliminated once, by ``batch_rank``'s pivot rule, from Y_0 and every Y_t.
+    Their six non-pivot columns give 6x6 blocks Z(x) = Y_0' + sum_t x_t Y_t',
+    formed for all x in one product, and dim = 6 - rank Z(x).  Groups with
+    rank X < 4 take the 10x10 path.
+    """
+    pattern, slots, first, groups = desc
+    f = _u3_free(slots)
+    # 15-term products for X and Y, and Y rows after four updates
+    check_exact(p, 5, terms=15)
+    Dt = _pattern_blocks(D, pattern)
+    u = np.zeros((2, 6, groups), dtype=np.float32)
+    u[0, pattern[0]] = u[1, pattern[1]] = 1
+    rest = np.arange(first, first + groups, dtype=np.int64)
+    for i, c in slots[:len(slots) - f]:
+        np.divmod(rest, p, out=(rest, u[i, c]))
+    ia, ib = _pair_indices()
+    b12 = u[0, ia] * u[1, ib] - u[0, ib] * u[1, ia]
+    _reduce_mod(b12, p)
+    # lines: X, then Y_t for u_3 terms e_{P_3} and e_c of its free slots
+    cols = [pattern[2]] + [c for _, c in slots[len(slots) - f:]]
+    E = Dt[:30] @ _wedge_basis_vector()[cols]
+    a = np.empty((4 + 6 * (1 + f), 10, groups), dtype=np.float32)
+    np.matmul(Dt, b12, out=a[:4].reshape(40, groups))
+    np.matmul(E[:, None], u[None], out=a[4:].reshape(1 + f, 2, 30, groups))
+    _reduce_mod(a, p)
+    ag = np.arange(groups)
+    free = np.ones((10, groups), dtype=bool)
+    full = np.ones(groups, dtype=bool)
+    buf = np.empty_like(a[1:])
+    for s in range(4):
+        piv, pval = _eliminate_line(a, s, p, ag, buf)
+        free[piv, ag] = False
+        full &= pval != 0
+    keep = np.argsort(~free, axis=0, kind="stable")[:6]
+    y = np.take_along_axis(a[4:].reshape(1 + f, 6, 10, groups), keep[None, None], axis=2)
+    _reduce_mod(y, p)
+    xs = np.ones((p**f, 1 + f), dtype=np.float32)
+    rest = np.arange(p**f, dtype=np.int64)
+    for t in range(1, 1 + f):
+        np.divmod(rest, p, out=(rest, xs[:, t]))
+    z = np.matmul(xs, y.reshape(1 + f, 36, groups).transpose(1, 0, 2))
+    rank = batch_rank(z.reshape(6, 6, -1).transpose(2, 0, 1), p, in_place=True)
+    dims = (6 - rank).reshape(p**f, groups)
+    if not full.all():
+        bad = np.flatnonzero(~full)
+        codes = group_block_codes(desc, p)[:, bad]
+        mats = echelon_rows(pattern, slots, codes.ravel(), p)
+        dims[:, bad] = intersection_dims_for_batch(mats, D, p).reshape(codes.shape)
+    return dims
 
 
 def projective_block_descriptors(dim: int, p: int, chunk: int = 65536):
@@ -276,9 +410,9 @@ def build_projective_block(desc, dim: int, p: int) -> np.ndarray:
     lead, start, count = desc
     vecs = np.zeros((count, dim), dtype=np.int64)
     vecs[:, lead] = 1
-    codes = np.arange(start, start + count, dtype=np.int64)
-    for t in range(dim - lead - 1):
-        vecs[:, lead + 1 + t] = (codes // p**t) % p
+    rest = np.arange(start, start + count, dtype=np.int64)
+    for c in range(lead + 1, dim):
+        np.divmod(rest, p, out=(rest, vecs[:, c]))
     return vecs
 
 

@@ -6,9 +6,9 @@ probes for the three divisor conditions (a decomposable vector inside A, a
 T_U).  Exhaustive probes certify their verdict; sampling probes are labeled
 as inconclusive on the negative side.
 
-The census is data-parallel over enumeration chunks: blocks are disjoint,
-per-block counts merge associatively, and the result is independent of the
-chunking and thread count.
+The census is data-parallel over blocks of (u_1, u_2) groups: blocks are
+disjoint, per-block counts merge associatively, and the result is
+independent of the chunking and thread count.
 """
 
 from __future__ import annotations
@@ -111,25 +111,32 @@ def _census_scan(A: LagrangianSubspace, chunk: int, threads: int):
     first 64 subspaces U, in enumeration order, with dim(A ∩ T_U) >= 4.
 
     Enumerates the reduced-echelon representative of every rank-3 subspace
-    exactly once.
+    exactly once, in blocks of (u_1, u_2) groups.  A block's first 64 hits
+    are in enumeration order, but the blocks of one pivot pattern interleave
+    in it, so the hits are merged by (pattern, code).
     """
     p = _require_prime_field(A)
     _require_scan_prime(p)
     t0 = time.perf_counter()
     AM = _rows_array(A) % p
     D = batched.tangent_gram_blocks(AM, p)
-    descs = batched.grassmann_block_descriptors(p, chunk=chunk)
+    descs = batched.group_block_descriptors(p, chunk=chunk)
 
     def worker(desc):
-        mats = batched.build_grassmann_block(desc, p)
-        dims = batched.intersection_dims_for_batch(mats, D, p)
-        return np.bincount(dims, minlength=11), mats[np.flatnonzero(dims >= 4)[:64]]
+        pattern, slots = desc[:2]
+        dims = batched.intersection_dims_for_groups(desc, D, p)
+        hits = np.flatnonzero(dims >= 4)[:64]
+        codes = batched.group_block_codes(desc, p).reshape(-1)[hits]
+        mats = batched.echelon_rows(pattern, slots, codes, p)
+        return np.bincount(dims.reshape(-1), minlength=11), [
+            ((pattern, int(code)), mat) for code, mat in zip(codes, mats)]
 
     counts = np.zeros(11, dtype=np.int64)
-    witnesses = []
+    first = []
     for c, hits in batched.parallel_map(worker, descs, threads=threads):
         counts += c
-        witnesses.extend(hits[:64 - len(witnesses)])
+        first = sorted(first + hits, key=lambda hit: hit[0])[:64]
+    witnesses = [mat for _, mat in first]
     elapsed = (time.perf_counter() - t0) * 1000.0
     total = batched.grassmann_size(6, 3, p)
     if counts.sum() != total:

@@ -358,3 +358,140 @@ def test_sign_tensors_bytes_pinned():
              "1d4947bb59585d45421b84d1e855c626454e41d69cd39e9653d483261ccb25c6")):
         assert table.dtype == np.int64 and table.shape == shape
         assert hashlib.sha256(table.tobytes()).hexdigest() == digest
+
+
+def test_block_digits_match_power_formula():
+    # successive divmod gives the digits (codes // p^t) % p of the free slots
+    for p in (2, 5, 7):
+        for desc in batched.grassmann_block_descriptors(p, chunk=4000)[::50]:
+            pattern, slots, start, count = desc
+            mats = batched.build_grassmann_block(desc, p)
+            codes = np.arange(start, start + count)
+            want = np.zeros((count, 3, 6), dtype=np.int64)
+            want[:, [0, 1, 2], list(pattern)] = 1
+            for t, (i, c) in enumerate(slots):
+                want[:, i, c] = (codes // p**t) % p
+            assert mats.dtype == np.int64 and (mats == want).all()
+        for desc in batched.projective_block_descriptors(10, p, chunk=3000)[::7]:
+            lead, start, count = desc
+            vecs = batched.build_projective_block(desc, 10, p)
+            codes = np.arange(start, start + count)
+            assert (vecs[:, :lead] == 0).all() and (vecs[:, lead] == 1).all()
+            for t in range(10 - lead - 1):
+                assert (vecs[:, lead + 1 + t] == (codes // p**t) % p).all()
+
+
+@pytest.mark.parametrize("p, chunk", [(2, 1), (3, 1), (3, 100), (3, 4096), (5, 32768)])
+def test_group_blocks_cover_every_code_once(p, chunk):
+    # per pattern, the codes of the group blocks are 0 .. p^n - 1 once each
+    # (a chunk below one group still gives whole groups), block sizes <= max(chunk, p^f)
+    by_pattern = {}
+    for desc in batched.group_block_descriptors(p, chunk):
+        codes = batched.group_block_codes(desc, p)
+        assert codes.size <= max(chunk, codes.shape[0])
+        by_pattern.setdefault(desc[0], []).append(codes.ravel())
+    assert list(by_pattern) == batched.pivot_patterns()
+    for pattern, parts in by_pattern.items():
+        codes = np.sort(np.concatenate(parts))
+        assert (codes == np.arange(p ** len(batched.free_slots(pattern)))).all()
+
+
+def _group_block(p, pattern_index, first, groups):
+    pattern = batched.pivot_patterns()[pattern_index]
+    slots = tuple(batched.free_slots(pattern))
+    f = sum(i == 2 for i, _ in slots)
+    total = p ** (len(slots) - f)
+    first %= total
+    return (pattern, slots, first, min(groups, total - first))
+
+
+def _dims_by_10x10(desc, D, p):
+    codes = batched.group_block_codes(desc, p)
+    mats = batched.echelon_rows(desc[0], desc[1], codes.ravel(), p)
+    return batched.intersection_dims_for_batch(mats, D, p).reshape(codes.shape), mats
+
+
+@settings(max_examples=80, deadline=None)
+@given(p=st.sampled_from([2, 3, 5, 7]), pattern_index=st.integers(0, 19),
+       tangent=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_group_dims_match_10x10_and_stratum(p, pattern_index, tangent, seed):
+    import random as pyrandom
+    from lagstrata.lagrangian import random_graph_lagrangian, tangent_space
+    from lagstrata.linalg import LinearSubspace
+    from lagstrata.strata import stratum, _rows_array
+    field = GF(p)
+    rng = np.random.default_rng(seed)
+    desc = _group_block(p, pattern_index, int(rng.integers(0, 2**40)), int(rng.integers(1, 4)))
+    codes = batched.group_block_codes(desc, p).ravel()
+    if tangent:
+        # A = T_U for a U of the block: U's own group has rank X = 0
+        U = batched.echelon_rows(desc[0], desc[1], codes[rng.integers(codes.size)][None], p)[0]
+        A = tangent_space(LinearSubspace.from_vectors(
+            field, 6, [[field.from_int(int(x)) for x in r] for r in U]))
+    else:
+        A = random_graph_lagrangian(field, pyrandom.Random(seed))
+    D = batched.tangent_gram_blocks(_rows_array(A) % p, p)
+    got = batched.intersection_dims_for_groups(desc, D, p)
+    want, mats = _dims_by_10x10(desc, D, p)
+    assert got.dtype == np.int64 and (got == want).all()
+    for i in rng.choice(codes.size, size=min(3, codes.size), replace=False):
+        U = LinearSubspace.from_vectors(
+            field, 6, [[field.from_int(int(x)) for x in r] for r in mats[i]])
+        assert got.reshape(-1)[i] == stratum(A, U)
+
+
+def test_group_dims_take_the_10x10_path_on_rank_deficient_groups(monkeypatch):
+    # A = T_U0, U0 = <e1, e2, e3>: group 0 of pattern (0, 1, 2) is u1 = e1,
+    # u2 = e2, whose X rows lie in T_U0 and pair to zero with A
+    from lagstrata.lagrangian import tangent_space
+    from lagstrata.linalg import LinearSubspace
+    from lagstrata.strata import _rows_array
+    p = 3
+    field = GF(p)
+    U0 = LinearSubspace.from_vectors(
+        field, 6, [[field.one if j == i else field.zero for j in range(6)] for i in range(3)])
+    D = batched.tangent_gram_blocks(_rows_array(tangent_space(U0)) % p, p)
+    fallback = []
+    ref = batched.intersection_dims_for_batch
+
+    def recording(mats, D, p):
+        fallback.append(mats.shape[0])
+        return ref(mats, D, p)
+
+    deficient = _group_block(p, 0, 0, 9)
+    full = _group_block(p, 0, 1 + 3**4, 1)     # u1 = e1 + e4, u2 = e2 + e5: rank X = 4
+    want = [_dims_by_10x10(desc, D, p)[0] for desc in (deficient, full)]
+    monkeypatch.setattr(batched, "intersection_dims_for_batch", recording)
+    got = batched.intersection_dims_for_groups(deficient, D, p)
+    assert (got == want[0]).all() and got[0, 0] == 10
+    assert fallback and fallback[0] % 27 == 0  # whole groups of p^3 subspaces
+    fallback.clear()
+    assert (batched.intersection_dims_for_groups(full, D, p) == want[1]).all()
+    assert not fallback
+
+
+@pytest.mark.parametrize("p", [7, batched.MAX_PRIME])
+def test_group_dims_at_the_float32_edge(p, monkeypatch):
+    # The kernel's one bound, check_exact(p, 5, terms=15), covers its 15-term
+    # products and the Y rows after four updates; D with entries in {0, p - 1}
+    # (any D: the rank identity needs no Lagrangian) makes every product and
+    # update maximal.  At the scan cap p = 7 and at MAX_PRIME the kernel still
+    # agrees with the 10x10 path, and past MAX_PRIME it refuses.
+    calls = []
+    check = batched.check_exact
+    monkeypatch.setattr(batched, "check_exact",
+                        lambda *a, **k: calls.append((a, k)) or check(*a, **k))
+    rng = np.random.default_rng(p)
+    for pattern_index in range(20):
+        desc = _group_block(p, pattern_index, int(rng.integers(0, 2**40)), 3)
+        if len(batched.group_block_codes(desc, p)) > 400:
+            continue           # p^f > 400 subspaces per group: only at p = 181
+        D = (p - 1) * rng.integers(0, 2, size=(15, 60)).astype(np.float32)
+        D[:, rng.integers(60)] = p - 1
+        calls.clear()
+        got = batched.intersection_dims_for_groups(desc, D, p)
+        assert calls[0] == ((p, 5), {"terms": 15})
+        assert (got == _dims_by_10x10(desc, D, p)[0]).all()
+    with pytest.raises(ValueError):
+        batched.intersection_dims_for_groups(_group_block(191, 19, 0, 1),
+                                             np.zeros((15, 60), dtype=np.float32), 191)

@@ -329,3 +329,34 @@ def test_sample_lg1_certificates_deterministic():
     assert s1.A == s2.A
     assert s1.census_report.counts == s2.census_report.counts
     assert s1.census_report.count_at_least(4) == 0
+
+
+@pytest.mark.parametrize("p, chunk", [(2, 1), (2, 7), (3, 100), (3, 4096)])
+def test_census_and_witnesses_independent_of_group_blocks(p, chunk):
+    # a pattern-(0,1,2) group holds p^3 subspaces: chunks 1 and 7 are below
+    # one group at p = 2, and 100 and 4096 cut the 729 groups of that
+    # pattern at p = 3 unevenly
+    field = GF(p)
+    A = random_graph_lagrangian(field, random.Random(p + 3))
+    assert census(A, chunk=chunk, threads=1).counts == census(A, chunk=40000).counts
+    T = tangent_space(basis_subspace(field, (1, 3, 5)))
+    assert (gamma_witnesses(T, chunk=chunk).witnesses
+            == gamma_witnesses(T, chunk=40000, threads=1).witnesses)
+
+
+def test_census_p5_lg1_seed11_counts_pinned():
+    # the first draw of sample_lg1(5, 11), criterion 8's seed-11 sample
+    field = GF(5)
+    A = lagrangian_from_graph(standard_frame(field), random_symmetric(field, 10, random.Random(11)))
+    assert census(A).counts == {0: 2034000, 1: 503865, 2: 20550, 3: 141}
+
+
+def test_gamma_witnesses_p5_tangent_pinned():
+    # A = T_U0 over F_5: 605,431 witnesses, of which the first 64 are kept;
+    # 9,331 of the 75,456 (u1, u2) groups have rank X < 4 and take the 10x10 path
+    import hashlib
+    import json
+    res = gamma_witnesses(tangent_space(basis_subspace(GF(5), (1, 2, 3))))
+    assert res.detail["counts"] == {"0": 1953125, "4": 600625, "6": 4805, "10": 1}
+    assert hashlib.sha256(json.dumps(res.witnesses, sort_keys=True).encode()).hexdigest() == (
+        "8b8353d0a9d4214abd117442ab6f952929d42dbee954398ff9d5e8cffc439e41")

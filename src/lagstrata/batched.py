@@ -325,12 +325,7 @@ def group_block_codes(desc, p: int) -> np.ndarray:
 @lru_cache(maxsize=None)
 def _wedge_basis_vector() -> np.ndarray:
     """W[k, j, i] = bivector coordinate j of e_i ^ e_k; shape (6, 15, 6)."""
-    ia, ib = _pair_indices()
-    W = np.zeros((6, 15, 6), dtype=np.float32)
-    for j, (a, b) in enumerate(zip(ia, ib)):
-        W[b, j, a] = 1
-        W[a, j, b] = -1
-    return W
+    return _sign_tensor(1, 1).transpose(1, 2, 0).astype(np.float32)
 
 
 def intersection_dims_for_groups(desc, D: np.ndarray, p: int) -> np.ndarray:

@@ -76,6 +76,12 @@ def _require_prime(prime: int, lo: int = 2, hi: int = FIELD_MAX_PRIME):
         _error(str(exc), 2)
 
 
+def _require_trials(trials: int):
+    """Exit 2 with the report unless --trials asks for at least one trial."""
+    if trials < 1:
+        _error(f"--trials must be at least 1, not {trials}", 2)
+
+
 def _keep(ctx, param, value):
     ctx.meta[param.name] = value
 
@@ -141,6 +147,7 @@ def census_cmd(prime, seed, threads, lg1):
 @_common
 def chart_verify(seed, trials):
     """Chart-quadric identity, tangent-cone orders, restriction ranks (criteria 5-7)."""
+    _require_trials(trials)
     rec = CriterionResult(0, "chart-verify")
     for part in (criterion_5_chart_identity(seed, trials), criterion_6_tangent_cone(seed),
                  criterion_7_restriction_rank(seed)):
@@ -158,6 +165,7 @@ def chart_verify(seed, trials):
 @_common
 def dual_k3(prime, seed, experiment, trials):
     """Sampled verification of the special-Lagrangian surface maps (criterion 9)."""
+    _require_trials(trials)
     # the construction needs p >= 5; residual triples run batched ranks
     _require_prime(prime, lo=5,
                    hi=BATCHED_MAX_PRIME if experiment == "residual" else FIELD_MAX_PRIME)

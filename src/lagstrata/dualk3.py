@@ -20,6 +20,11 @@ from ``exterior.merge_table``: the wedge, the 2V x 3V pairing, the vol5
 forms, and the five Pluecker quadrics of wedge^3 V with their polars all
 come from it.  Only the computations on W (decomposability, F-spaces,
 strata and the wedges of the adapted system) build ``MultiVector`` values.
+Every other linear combination and quadric evaluation (the conic
+parametrization, the extra quadric and its restriction to a curve, the
+points of a pencil) is one ``linalg.mat_mul``, which sums through the
+field's ``dot``; K-perp coordinates are read at the pivot columns of its
+echelon basis (``LinearSubspace.coordinates_of``).
 """
 
 from __future__ import annotations
@@ -33,8 +38,8 @@ import numpy as np
 
 from .fields import PrimeField
 from .exterior import MultiVector, wedge, wedge_coefficient, merge_table, INDEX, TOP
-from .linalg import (LinearSubspace, rank, right_nullspace, solve, mat_mul,
-                     transpose, symmetric_with_kernel, intersect)
+from .linalg import (LinearSubspace, rref, rank, right_nullspace, solve, mat_mul,
+                     transpose, identity, symmetric_with_kernel, intersect)
 from .lagrangian import (LagrangianFrame, LagrangianSubspace,
                          lagrangian_from_graph, f_space,
                          is_decomposable, intersection_dim)
@@ -108,8 +113,7 @@ def _normalize(f, coords):
     lead = next((x for x in coords if not f.is_zero(x)), None)
     if lead is None:
         return None
-    inv = f.inv(lead)
-    return [f.mul(inv, x) for x in coords]
+    return f.scale_row(f.inv(lead), coords)
 
 
 def w3_embed(field, coords10):
@@ -168,17 +172,19 @@ class SpecialLagrangianData:
         return self.q_star_polar(c, c)
 
     def q_star_polar(self, c1, c2):
-        return self.field.from_int(sum(ca * cb * g for ca, row in zip(c1, self.gram_star)
-                                       for cb, g in zip(c2, row)))
+        f = self.field
+        return f.dot(mat_mul([c1], self.gram_star, f)[0], c2)
 
-    def q_star_on(self, ring, polys):
-        """The quadric on K-perp at coordinates given as polynomials."""
-        out = ring.zero
-        for row, pa in zip(self.gram_star, polys):
-            for g, pb in zip(row, polys):
-                if not self.field.is_zero(g):
-                    out = ring.add(out, ring.scale(g, ring.mul(pa, pb)))
-        return out
+    def q_star_on(self, W):
+        """The quadric on the K-perp coordinates sum_d s^d W[d], as its
+        coefficients ascending in s: the anti-diagonal sums of W G W^T."""
+        f = self.field
+        H = mat_mul(mat_mul(W, self.gram_star, f), transpose(W), f)
+        out = [0] * (2 * len(W) - 1)
+        for d, row in enumerate(H):
+            for e, h in enumerate(row):
+                out[d + e] += h
+        return [c % self.p for c in out]
 
     def q_star_by_solve(self, beta_coords):
         """Oracle route: solve for a preimage and pair it with beta."""
@@ -345,7 +351,7 @@ def sample_s_a_point(data: SpecialLagrangianData, rng, max_tries: int = 200,
     """
     f = data.field
     p = data.p
-    units = [[int(i == j) for j in range(5)] for i in range(5)]
+    units = identity(5, f)
     for _ in range(max_tries):
         if support_vector is not None:
             u = list(support_vector)
@@ -357,19 +363,8 @@ def sample_s_a_point(data: SpecialLagrangianData, rng, max_tries: int = 200,
         Z = right_nullspace([_dual(_wedge(k, u, 2, 1, p), 3, p) for k in data.K.rows], f)
         if len(Z) != 7:
             continue
-        uV = LinearSubspace.from_vectors(f, 10, [_wedge(u, e, 1, 1, p) for e in units])
-        if uV.dim != 4:
-            continue
-        reps = []
-        span = uV
-        for z in Z:
-            cand = LinearSubspace.from_vectors(f, 10, list(span.rows) + [z])
-            if cand.dim > span.dim:
-                reps.append(z)
-                span = cand
-            if len(reps) == 3:
-                break
-        if len(reps) != 3:
+        reps = _representatives([_wedge(u, e, 1, 1, p) for e in units], Z, f)
+        if reps is None:
             continue
         Gi = [[_wedge(_wedge(a, b, 2, 2, p), u, 4, 1, p)[0] for b in reps] for a in reps]
         if all(x % p == 0 for row in Gi for x in row):
@@ -377,49 +372,43 @@ def sample_s_a_point(data: SpecialLagrangianData, rng, max_tries: int = 200,
         P0 = _conic_point(f, Gi)
         if P0 is None:
             continue
-        # rational parametrization: X(s,t) = (R^T G R) P0 - 2 (P0^T G R) R;
-        # complete P0 to a basis with the two units off its leading slot
-        basis = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
-        lead_idx = next(i for i in range(3) if P0[i] % p)
-        R1, R2 = [basis[i] for i in range(3) if i != lead_idx]
-
-        def bil(x, y):
-            return sum(x[i] * Gi[i][j] * y[j] for i in range(3) for j in range(3)) % p
-
-        def comb(c1, v1, c2, v2, c3=0, v3=(0, 0, 0)):
-            return [(c1 * v1[i] + c2 * v2[i] + c3 * v3[i]) % p for i in range(3)]
-
-        A2 = comb(bil(R1, R1), P0, (-2 * bil(P0, R1)) % p, R1)
-        C2 = comb(bil(R2, R2), P0, (-2 * bil(P0, R2)) % p, R2)
-        B2 = comb((2 * bil(R1, R2)) % p, P0, (-2 * bil(P0, R2)) % p, R1,
-                  (-2 * bil(P0, R1)) % p, R2)
-
-        b20, b11, b02 = (_wedge(u, pi, 1, 2, p) for pi in mat_mul([A2, B2, C2], reps, f))
+        # rational parametrization X(s,t) = (R^T G R) P0 - 2 (P0^T G R) R with
+        # R = s R1 + t R2, the two units R1, R2 off the leading slot of P0
+        lead = next(i for i in range(3) if P0[i] % p)
+        B = [P0] + [e for i, e in enumerate(identity(3, f)) if i != lead]
+        H = mat_mul(mat_mul(B, Gi, f), transpose(B), f)
+        X = [[H[1][1], -2 * H[0][1], 0],                     # s^2
+             [2 * H[1][2], -2 * H[0][2], -2 * H[0][1]],      # s t
+             [H[2][2], 0, -2 * H[0][2]]]                     # t^2
+        b20, b11, b02 = (_wedge(u, pi, 1, 2, p)
+                         for pi in mat_mul(mat_mul(X, B, f), reps, f))
         try:
             c20 = data.kperp_coords_of(b20)
             c11 = data.kperp_coords_of(b11)
             c02 = data.kperp_coords_of(b02)
         except ValueError:
             continue
-        ring = PolyRing(f)
-        quartic = data.q_star_on(ring, list(zip(c02, c11, c20)))
-        roots = [f.from_int(s) for s in range(p)
-                 if f.is_zero(ring.eval(quartic, f.from_int(s)))]
-        candidates = [(s, f.one) for s in roots]
-        lead = quartic[4] if len(quartic) > 4 else f.zero
-        if f.is_zero(lead):
-            candidates.append((f.one, f.zero))
+        candidates = _binary_roots(data.q_star_on([c02, c11, c20]), p)
         rng.shuffle(candidates)
         for s, t in candidates:
-            coords = [f.add(f.add(f.mul(f.mul(s, s), b20[r]),
-                                  f.mul(f.mul(s, t), b11[r])),
-                            f.mul(f.mul(t, t), b02[r])) for r in range(10)]
+            coords = mat_mul([[s * s, s * t, t * t]], [b20, b11, b02], f)[0]
             if all(f.is_zero(x) for x in coords):
                 continue
             point = _finish_point(data, coords)
             if point is not None:
                 return point
     raise RetryBudgetError("surface-point sampling budget exhausted")
+
+
+def _representatives(uV, Z, f):
+    """Three rows of Z completing span(uV) to span(Z), or None unless uV spans
+    a 4-space: the pivot columns of one rref of [uV; Z]^T, which are the rows
+    a greedy scan of [uV; Z] finds independent of those before them."""
+    n = len(uV)
+    pivots = rref(transpose(uV + Z), f)[1]
+    if sum(c < n for c in pivots) != 4 or len(pivots) < 7:
+        return None
+    return [Z[c - n] for c in pivots[4:7]]
 
 
 def _finish_point(data: SpecialLagrangianData, coords) -> SurfacePoint | None:
@@ -538,6 +527,14 @@ def psi_stratum(data: SpecialLagrangianData, psi_subspace: LinearSubspace) -> in
 # the adapted linear system of a triple
 
 
+def _chords(U1, U2, U3):
+    """Spanning vectors of the lines U1 ∩ U2, U1 ∩ U3 and U2 ∩ U3."""
+    lines = [intersect(U1, U2), intersect(U1, U3), intersect(U2, U3)]
+    if any(line.dim != 1 for line in lines):
+        raise DegenerateConfiguration("pairwise witness intersections are not lines")
+    return [list(line.rows[0]) for line in lines]
+
+
 def _adapt_basis(data: SpecialLagrangianData, p1: SurfacePoint, p2: SurfacePoint,
                  p3: SurfacePoint, rng):
     """Basis (v1..v5) of V with beta1 = v123, beta2 = v145, beta3 = v24(3+5).
@@ -547,12 +544,7 @@ def _adapt_basis(data: SpecialLagrangianData, p1: SurfacePoint, p2: SurfacePoint
     """
     f, p = data.field, data.p
     U1, U2, U3 = p1.witness, p2.witness, p3.witness
-    l12 = intersect(U1, U2)
-    l13 = intersect(U1, U3)
-    l23 = intersect(U2, U3)
-    if l12.dim != 1 or l13.dim != 1 or l23.dim != 1:
-        raise DegenerateConfiguration("pairwise witness intersections are not lines")
-    v1, v2, v4 = list(l12.rows[0]), list(l13.rows[0]), list(l23.rows[0])
+    v1, v2, v4 = _chords(U1, U2, U3)
     # v3 + v5 in U3 with v3 in U1, v5 in U2: impose the functionals cutting U3
     ells = right_nullspace([list(r) for r in U3.rows], f)
     sols = right_nullspace(mat_mul(ells, transpose(U1.rows + U2.rows), f), f)
@@ -569,8 +561,7 @@ def _adapt_basis(data: SpecialLagrangianData, p1: SurfacePoint, p2: SurfacePoint
         # then take the literal form (constant * v0 + basis vector)
         v12 = _wedge(v1, v2, 1, 1, p)
         rho = _wedge(_wedge(_wedge(v12, v3, 2, 1, p), v4, 3, 1, p), v5, 4, 1, p)[0]
-        inv_rho = f.inv(rho)
-        v1 = [f.mul(inv_rho, x) for x in v1]
+        v1 = f.scale_row(f.inv(rho), v1)
         b1 = _wedge(_wedge(v1, v2, 1, 1, p), v3, 2, 1, p)
         b2 = _wedge(_wedge(v1, v4, 1, 1, p), v5, 2, 1, p)
         v35 = [f.add(a, b) for a, b in zip(v3, v5)]
@@ -712,11 +703,7 @@ def residual_triple(data: SpecialLagrangianData, p1: SurfacePoint,
     f = data.field
     p = data.p
     U1, U2, U3 = p1.witness, p2.witness, p3.witness
-    l12, l13, l23 = intersect(U1, U2), intersect(U1, U3), intersect(U2, U3)
-    if min(l12.dim, l13.dim, l23.dim) != 1 or max(l12.dim, l13.dim, l23.dim) != 1:
-        raise DegenerateConfiguration("pairwise witness intersections are not lines")
-    Uprime = LinearSubspace.from_vectors(
-        f, 5, [list(l12.rows[0]), list(l13.rows[0]), list(l23.rows[0])])
+    Uprime = LinearSubspace.from_vectors(f, 5, _chords(U1, U2, U3))
     if Uprime.dim != 3:
         raise DegenerateConfiguration("the three chords do not span a 3-space")
     for U in (U1, U2, U3):
@@ -795,19 +782,14 @@ def residual_triple(data: SpecialLagrangianData, p1: SurfacePoint,
             raise DegenerateConfiguration("triple point not uniquely parametrized")
         beta_params.append(param_by_key[found[0]])
     # the restriction of the extra quadric: a binary sextic
+    sext = data.q_star_on(W)
+    if not set(beta_params) <= set(_binary_roots(sext, p)):
+        raise AssertionError("triple parameter is not a root of the sextic")
     ring = PolyRing(f)
-    sextic = data.q_star_on(ring, list(zip(*W)))   # coefficients ascending in s (t = 1)
-    sext = list(sextic) + [f.zero] * (7 - len(sextic))
-    for s0, t0 in beta_params:
-        if not f.is_zero(_eval_binary(ring, sext, s0, t0)):
-            raise AssertionError("triple parameter is not a root of the sextic")
     residual = tuple(sext)
     for s0, t0 in beta_params:
         residual = _binary_deflate(ring, residual, s0, t0)
-    roots = []
-    for s0, t0 in param_points:
-        if f.is_zero(_eval_binary(ring, residual, s0, t0)):
-            roots.append((s0, t0))
+    roots = _binary_roots(residual, p)
     if len(roots) != 3:
         return None  # residual cubic does not split into distinct roots
     keys = [_proj_param(f, r) for r in roots]
@@ -834,9 +816,19 @@ def _monomials(f, s0, t0):
     return [f.mul(pow(s0, d, f.p), pow(t0, 3 - d, f.p)) for d in range(4)]
 
 
-def _eval_binary(ring: PolyRing, form, s0, t0):
-    p, n = ring.field.p, len(form) - 1
-    return sum(c * pow(s0, d, p) * pow(t0, n - d, p) for d, c in enumerate(form)) % p
+def _binary_roots(form, p):
+    """The points of P^1(F_p) where the binary form sum_d form[d] s^d t^(n-d)
+    vanishes: (s, 1) in ascending s, then (1, 0) when the top coefficient is 0."""
+    roots = []
+    for s in range(p):
+        acc = 0
+        for c in reversed(form):
+            acc = (acc * s + c) % p
+        if acc == 0:
+            roots.append((s, 1))
+    if form[-1] % p == 0:
+        roots.append((1, 0))
+    return roots
 
 
 def _proj_param(f, t):

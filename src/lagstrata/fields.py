@@ -10,6 +10,7 @@ mix scalars from different fields.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import mul
 
 
 class FieldMismatchError(TypeError):
@@ -91,6 +92,10 @@ class PrimeField:
         p = self.p
         return [(x - c * y) % p for x, y in zip(a, b)]
 
+    def dot(self, a, b):
+        """sum a_i*b_i, reduced once."""
+        return sum(map(mul, a, b)) % self.p
+
     def from_int(self, n: int):
         return n % self.p
 
@@ -168,6 +173,10 @@ class RationalField:
     def row_sub(self, a, c, b):
         """a - c*b entrywise."""
         return [x - c * y for x, y in zip(a, b)]
+
+    def dot(self, a, b):
+        """sum a_i*b_i over the nonzero terms."""
+        return sum((x * y for x, y in zip(a, b) if x and y), Fraction(0))
 
     def from_int(self, n: int):
         return Fraction(n)

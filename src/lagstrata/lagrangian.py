@@ -11,7 +11,7 @@ from itertools import combinations
 
 from .fields import check_same_field
 from .exterior import DIM_W, SUBSETS, MultiVector, wedge, eta, eta_gram
-from .linalg import (LinearSubspace, rank, right_nullspace, mat_mul,
+from .linalg import (LinearSubspace, rank, right_nullspace, mat_mul, identity,
                      mat_inverse, transpose, is_symmetric)
 
 TRI_DIM = len(SUBSETS[3])  # 20
@@ -135,15 +135,9 @@ def lagrangian_from_graph(frame: LagrangianFrame, M) -> LagrangianSubspace:
     if not is_symmetric(M, field):
         raise ValueError("graph matrix must be symmetric")
     ytil = mat_mul(M, frame.pairing_transpose_inv, field)
-    rows = []
-    for i in range(LAG_DIM):
-        row = list(frame.l0_rows[i])
-        for k in range(LAG_DIM):
-            c = ytil[i][k]
-            if not field.is_zero(c):
-                brow = frame.linf_rows[k]
-                row = [field.add(row[t], field.mul(c, brow[t])) for t in range(TRI_DIM)]
-        rows.append(row)
+    # graph rows a_i + sum_k ytil[i][k] b_k: [I | ytil] times the stacked frame
+    rows = mat_mul([e + y for e, y in zip(identity(LAG_DIM, field), ytil)],
+                   frame.l0_rows + frame.linf_rows, field)
     S = LinearSubspace.from_vectors(field, TRI_DIM, rows)
     return LagrangianSubspace.from_subspace(S, check=False)
 

@@ -83,20 +83,8 @@ def solve(rows, rhs, field):
 
 
 def mat_mul(A, B, field):
-    n = len(B)
-    ncols = len(B[0]) if n else 0
-    Bt = [[B[k][j] for k in range(n)] for j in range(ncols)]
-    out = []
-    for row in A:
-        orow = []
-        for col in Bt:
-            s = field.zero
-            for a, b in zip(row, col):
-                if not field.is_zero(a) and not field.is_zero(b):
-                    s = field.add(s, field.mul(a, b))
-            orow.append(s)
-        out.append(orow)
-    return out
+    cols = list(zip(*B))
+    return [[field.dot(row, col) for col in cols] for row in A]
 
 
 def transpose(A):
@@ -195,15 +183,20 @@ class LinearSubspace:
         return len(self.rows)
 
     def contains(self, vec) -> bool:
-        if self.dim == 0:
-            return all(self.field.is_zero(x) for x in vec)
-        return rank(list(self.rows) + [list(vec)], self.field) == self.dim
+        return self.coordinates_of(vec) is not None
 
     def coordinates_of(self, vec):
-        """Coefficients of ``vec`` in the echelon basis, or None."""
-        if self.dim == 0:
-            return [] if all(self.field.is_zero(x) for x in vec) else None
-        return solve(transpose([list(r) for r in self.rows]), list(vec), self.field)
+        """Coefficients of ``vec`` in the echelon basis, or None.
+
+        The basis is reduced echelon, so they are the entries of ``vec`` at
+        the pivot columns (reduced as ``rref`` leaves them); ``vec`` lies in
+        the span exactly when they rebuild it.
+        """
+        f = self.field
+        coords = f.scale_row(f.one, [vec[next(j for j, x in enumerate(r) if not f.is_zero(x))]
+                                     for r in self.rows])
+        rebuilt = mat_mul([coords], self.rows, f)[0] if coords else [f.zero] * self.ambient
+        return coords if mat_eq([rebuilt], [vec], f) else None
 
     def __eq__(self, other):
         return (isinstance(other, LinearSubspace) and self.field == other.field
@@ -234,19 +227,8 @@ def intersect(S1: LinearSubspace, S2: LinearSubspace) -> LinearSubspace:
     r1, r2 = S1.dim, S2.dim
     if r1 == 0 or r2 == 0:
         return LinearSubspace(field, S1.ambient, [])
-    rows = []
-    for i in range(S1.ambient):
-        rows.append([S1.rows[j][i] for j in range(r1)]
-                    + [field.neg(S2.rows[j][i]) for j in range(r2)])
-    vectors = []
-    for sol in right_nullspace(rows, field):
-        c = sol[:r1]
-        vec = [field.zero] * S1.ambient
-        for j, cj in enumerate(c):
-            if not field.is_zero(cj):
-                row = S1.rows[j]
-                vec = [field.add(vec[i], field.mul(cj, row[i])) for i in range(S1.ambient)]
-        vectors.append(vec)
+    rows = [list(a) + [field.neg(x) for x in b] for a, b in zip(zip(*S1.rows), zip(*S2.rows))]
+    vectors = mat_mul([sol[:r1] for sol in right_nullspace(rows, field)], S1.rows, field)
     return LinearSubspace.from_vectors(field, S1.ambient, vectors)
 
 

@@ -74,13 +74,6 @@ class PolyRing:
             return ()
         return _trim([F.mul(c, a) for a in f], F)
 
-    def eval(self, f, x):
-        F = self.field
-        acc = F.zero
-        for c in reversed(f):
-            acc = F.add(F.mul(acc, x), c)
-        return acc
-
     def degree(self, f):
         return len(f) - 1
 

@@ -369,3 +369,91 @@ def test_normalize_scales_the_lead_to_one_and_sends_zero_to_none():
     field = GF(7)
     assert dualk3._normalize(field, [0, 3, 6, 1]) == [0, 1, 2, 5]
     assert dualk3._normalize(field, [0, 7, 0]) is None
+
+
+def test_binary_roots_edge_forms():
+    affine = [(s, 1) for s in range(7)]
+    assert dualk3._binary_roots([0, 0, 0], 7) == affine + [(1, 0)]    # the zero form
+    assert dualk3._binary_roots([7, -14], 7) == affine + [(1, 0)]     # zero mod p
+    assert dualk3._binary_roots([1, 0], 7) == [(1, 0)]                # t: root at infinity only
+    assert dualk3._binary_roots([0, 1], 7) == [(0, 1)]                # s
+    assert dualk3._binary_roots([-4, 0, 1], 7) == [(2, 1), (5, 1)]    # s^2 - 4 t^2
+    assert dualk3._binary_roots([3], 7) == []
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_binary_roots_match_pointwise_evaluation(data):
+    p = data.draw(st.sampled_from([5, 7, 101]))
+    form = data.draw(st.lists(st.integers(-300, 300), min_size=1, max_size=8))
+    n = len(form) - 1
+    points = [(s, 1) for s in range(p)] + [(1, 0)]
+    want = [(s, t) for s, t in points
+            if sum(c * s**d * t**(n - d) for d, c in enumerate(form)) % p == 0]
+    assert dualk3._binary_roots(form, p) == want
+
+
+# Reference: the representatives loop sample_s_a_point ran before, one
+# from_vectors per candidate row of Z.
+def _greedy_representatives(uV, Z, f):
+    span = LinearSubspace.from_vectors(f, 10, uV)
+    if span.dim != 4:
+        return None
+    reps = []
+    for z in Z:
+        cand = LinearSubspace.from_vectors(f, 10, list(span.rows) + [z])
+        if cand.dim > span.dim:
+            reps.append(z)
+            span = cand
+        if len(reps) == 3:
+            break
+    return reps if len(reps) == 3 else None
+
+
+def test_representatives_match_the_greedy_loop_on_sampler_draws(data):
+    f, p = data.field, data.p
+    draws = random.Random(11)
+    units = [[int(i == j) for j in range(5)] for i in range(5)]
+    for _ in range(150):
+        u = [draws.randrange(p) if draws.random() < 0.8 else 0 for _ in range(5)]
+        uV = [dualk3._wedge(u, e, 1, 1, p) for e in units]
+        Z = right_nullspace([dualk3._dual(dualk3._wedge(k, u, 2, 1, p), 3, p)
+                             for k in data.K.rows], f)
+        assert dualk3._representatives(uV, Z, f) == _greedy_representatives(uV, Z, f)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from([7, 101]), st.integers(0, 5), st.integers(0, 4), st.integers(0, 2**32))
+def test_representatives_match_the_greedy_loop(p, uv_rank, extra, seed):
+    # uV of the given rank; Z spanned by uV and `extra` more random vectors
+    f, draws = GF(p), random.Random(seed)
+
+    def combos(basis, n):
+        return [[sum(draws.randrange(3) * b[i] for b in basis) % p for i in range(10)]
+                for _ in range(n)]
+
+    def vectors(n):
+        return [[draws.randrange(p) for _ in range(10)] for _ in range(n)]
+
+    uV = combos(vectors(uv_rank), 5)
+    Z = combos(uV + vectors(extra), 7)
+    assert dualk3._representatives(uV, Z, f) == _greedy_representatives(uV, Z, f)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_q_star_on_matches_polynomial_products(data):
+    # reference: the PolyRing sum of g_ab * W_a(s) * W_b(s) that q_star_on replaced
+    from lagstrata.unipoly import PolyRing
+    sp = build_special_a(p=7, seed=3)
+    f = sp.field
+    ring = PolyRing(f)
+    W = [[data.draw(st.integers(0, 6)) for _ in range(7)]
+         for _ in range(data.draw(st.integers(1, 4)))]
+    want = ring.zero
+    for row, pa in zip(sp.gram_star, zip(*W)):
+        for g, pb in zip(row, zip(*W)):
+            want = ring.add(want, ring.scale(g, ring.mul(pa, pb)))
+    got = sp.q_star_on(W)
+    assert len(got) == 2 * len(W) - 1
+    assert tuple(got[:len(want)]) == want and not any(got[len(want):])

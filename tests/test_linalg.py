@@ -230,3 +230,109 @@ def test_rref_against_sympy(rows):
                                       for r in rows]).rref()
     assert pivots == list(want_pivots)
     assert red == [[Fraction(int(x.p), int(x.q)) for x in want.row(i)] for i in range(want.rows)]
+
+
+# Reference: the per-term product mat_mul ran before each field's dot, two
+# zero tests and one add and one mul per term.
+def ref_mat_mul(A, B, field):
+    out = []
+    for row in A:
+        orow = []
+        for j in range(len(B[0]) if B else 0):
+            s = field.zero
+            for a, b in zip(row, (r[j] for r in B)):
+                if not field.is_zero(a) and not field.is_zero(b):
+                    s = field.add(s, field.mul(a, b))
+            orow.append(s)
+        out.append(orow)
+    return out
+
+
+DOT_FIELDS = [QQ, GF(2), GF(101)]
+
+
+def _entries(field):
+    """Raw entries: unreduced ints over F_p, small fractions over QQ."""
+    ints = st.one_of(st.just(0), st.integers(min_value=-300, max_value=300))
+    if field == QQ:
+        return st.builds(Fraction, ints, st.integers(min_value=1, max_value=7))
+    return ints
+
+
+def assert_same_product(A, B, field):
+    got, want = mat_mul(A, B, field), ref_mat_mul(A, B, field)
+    assert got == want
+    assert [[type(x) for x in r] for r in got] == [[type(x) for x in r] for r in want]
+
+
+@pytest.mark.parametrize("field", DOT_FIELDS)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_mat_mul_matches_per_term_products(field, data):
+    n, k, m = (data.draw(st.integers(min_value=0, max_value=5)) for _ in range(3))
+    entry = _entries(field)
+    A = [[data.draw(entry) for _ in range(k)] for _ in range(n)]
+    B = [[data.draw(entry) for _ in range(m)] for _ in range(k)]
+    assert_same_product(A, B, field)
+    for row in A:
+        for col in zip(*B):
+            assert field.dot(row, col) == ref_mat_mul([row], [[x] for x in col], field)[0][0]
+
+
+@pytest.mark.parametrize("field", DOT_FIELDS)
+def test_mat_mul_edge_shapes_match_per_term_products(field):
+    one, z = field.one, field.zero
+    cases = [
+        ([], []), ([], [[one, one]]),               # no rows in A
+        ([[one, one]], [[], []]),                   # B without columns
+        ([[]], []), ([[], []], []),                 # A without columns, B without rows
+        ([[z, z]], [[one], [one]]),                 # all terms zero
+        ([[one, field.from_int(-1)]], [[one], [one]]),   # cancelling terms
+    ]
+    for A, B in cases:
+        assert_same_product(A, B, field)
+    assert field.dot([], []) == field.zero
+    assert type(field.dot([], [])) is type(field.zero)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(7)])
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_coordinates_of_and_contains_match_solve_and_rank(field, data):
+    ambient = data.draw(st.integers(min_value=1, max_value=6))
+    entry = _entries(field)
+    kind = data.draw(st.sampled_from(["span", "zero", "full"]))
+    if kind == "full":
+        S = LinearSubspace.full(field, ambient)
+    elif kind == "zero":
+        S = LinearSubspace(field, ambient, [])
+    else:
+        rows = [[data.draw(entry) for _ in range(ambient)]
+                for _ in range(data.draw(st.integers(min_value=1, max_value=ambient)))]
+        S = LinearSubspace.from_vectors(field, ambient, rows)
+    if S.dim and data.draw(st.booleans()):
+        # a vector of the span, with unreduced coefficients
+        coeffs = [data.draw(entry) for _ in range(S.dim)]
+        vec = [sum((c * x for c, x in zip(coeffs, col)), field.zero) for col in zip(*S.rows)]
+    else:
+        vec = [data.draw(entry) for _ in range(ambient)]
+    if S.dim:
+        want = solve([list(c) for c in zip(*S.rows)], vec, field)
+    else:
+        want = [] if all(field.is_zero(x) for x in vec) else None
+    got = S.coordinates_of(vec)
+    assert got == want
+    assert got is None or [type(x) for x in got] == [type(x) for x in want]
+    assert S.contains(vec) == (rank(list(S.rows) + [vec], field) == S.dim)
+
+
+def test_coordinates_of_edge_subspaces():
+    field = GF(5)
+    zero, full = LinearSubspace(field, 3, []), LinearSubspace.full(field, 3)
+    assert zero.coordinates_of([0, 5, -10]) == [] and zero.contains([0, 0, 0])
+    assert zero.coordinates_of([0, 1, 0]) is None and not zero.contains([0, 1, 0])
+    assert full.coordinates_of([7, -1, 3]) == [2, 4, 3]
+    line = LinearSubspace.from_vectors(field, 3, [[0, 2, 4]])    # rows ((0, 1, 2),)
+    assert line.coordinates_of([0, 3, 6]) == [3]
+    assert line.coordinates_of([1, 3, 6]) is None                 # off the span
+    assert line.coordinates_of([0, 3, 0]) is None                 # right pivot, wrong rest

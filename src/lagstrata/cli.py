@@ -76,10 +76,10 @@ def _require_prime(prime: int, lo: int = 2, hi: int = FIELD_MAX_PRIME):
         _error(str(exc), 2)
 
 
-def _require_trials(trials: int):
-    """Exit 2 with the report unless --trials asks for at least one trial."""
-    if trials < 1:
-        _error(f"--trials must be at least 1, not {trials}", 2)
+def _require_positive(option: str, value: int):
+    """Exit 2 with the report unless the option (--trials, --threads) is at least 1."""
+    if value < 1:
+        _error(f"{option} must be at least 1, not {value}", 2)
 
 
 def _keep(ctx, param, value):
@@ -137,6 +137,7 @@ def invariants(genus, a, b):
 def census_cmd(prime, seed, threads, lg1):
     """Exact stratum histogram of a seeded random Lagrangian over F_p."""
     _require_prime(prime)
+    _require_positive("--threads", threads)
     rec = census_experiment(prime, seed, threads, lg1)
     _emit(rec, exit_code=3 if "error" in rec.results else None)
 
@@ -147,7 +148,7 @@ def census_cmd(prime, seed, threads, lg1):
 @_common
 def chart_verify(seed, trials):
     """Chart-quadric identity, tangent-cone orders, restriction ranks (criteria 5-7)."""
-    _require_trials(trials)
+    _require_positive("--trials", trials)
     rec = CriterionResult(0, "chart-verify")
     for part in (criterion_5_chart_identity(seed, trials), criterion_6_tangent_cone(seed),
                  criterion_7_restriction_rank(seed)):
@@ -165,7 +166,7 @@ def chart_verify(seed, trials):
 @_common
 def dual_k3(prime, seed, experiment, trials):
     """Sampled verification of the special-Lagrangian surface maps (criterion 9)."""
-    _require_trials(trials)
+    _require_positive("--trials", trials)
     # the construction needs p >= 5; residual triples run batched ranks
     _require_prime(prime, lo=5,
                    hi=BATCHED_MAX_PRIME if experiment == "residual" else FIELD_MAX_PRIME)

@@ -186,14 +186,6 @@ class SpecialLagrangianData:
                 out[d + e] += h
         return [c % self.p for c in out]
 
-    def q_star_by_solve(self, beta_coords):
-        """Oracle route: solve for a preimage and pair it with beta."""
-        f = self.field
-        alpha = solve(transpose(self.ytil), list(beta_coords), f)
-        if alpha is None:
-            raise ValueError("trivector lies outside the image of the map")
-        return _pairing(alpha, list(beta_coords), f.p)
-
 
 def special_frame(field) -> LagrangianFrame:
     l0 = [v0_wedge_coords(field, [field.one if t == i else field.zero

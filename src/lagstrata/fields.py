@@ -10,6 +10,7 @@ mix scalars from different fields.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from operator import mul
 
 
@@ -170,9 +171,42 @@ class RationalField:
         """c*row entrywise."""
         return [c * x for x in row]
 
-    def row_sub(self, a, c, b):
-        """a - c*b entrywise."""
-        return [x - c * y for x, y in zip(a, b)]
+    def rref(self, rows):
+        """``linalg.rref`` of a matrix over QQ, fraction free on Python ints
+        (Bareiss, Math. Comp. 22, 1968; see the ``linalg`` docstring).
+        Zero rows given as input come back as given, rows that cancel as zeros.
+        """
+        given = [list(r) for r in rows]
+        m = []
+        for r in given:
+            d = lcm(*(x.denominator for x in r))
+            m.append([x.numerator * (d // x.denominator) for x in r])
+        nrows = len(m)
+        ncols = len(m[0]) if nrows else 0
+        pivots = []
+        prev = 1
+        r = 0
+        for c in range(ncols):
+            pr = next((i for i in range(r, nrows) if m[i][c]), None)
+            if pr is None:
+                continue
+            m[r], m[pr] = m[pr], m[r]
+            given[r], given[pr] = given[pr], given[r]
+            mr = m[r]
+            piv = mr[c]
+            for i in range(nrows):
+                a = m[i][c]
+                if i != r and (a or piv != prev):
+                    m[i] = [(piv * x - a * y) // prev for x, y in zip(m[i], mr)]
+            pivots.append(c)
+            prev = piv
+            r += 1
+            if r == nrows:
+                break
+        zero = Fraction(0)
+        out = [[Fraction(x, prev) if x else zero for x in row] for row in m[:r]]
+        out += [g if not any(g) else [zero] * ncols for g in given[r:]]
+        return out, pivots
 
     def dot(self, a, b):
         """sum a_i*b_i over the nonzero terms."""

@@ -4,6 +4,15 @@ Matrices are lists of row lists of field scalars.  Echelon forms are fully
 reduced with pivots normalized to 1 and pivot columns chosen left to right,
 so the row space of a matrix has a unique representative and subspace
 equality is matrix equality.
+
+Over QQ, ``RationalField.rref`` clears each row's denominators and runs
+fraction-free Gauss-Jordan on ints: the step at pivot p_k (row P, column c)
+turns every other row R, also one with R[c] = 0, into
+(p_k*R - R[c]*P)/p_{k-1}, so entries stay minors and the division is exact;
+the last pivot divides out at the end.  Its rows are nonzero multiples of
+those of per-row ``Fraction`` elimination, so pivots and row swaps agree,
+and the reduced echelon form is unique, so the result is the same.  Over
+F_p, ``rref`` runs here, one ``PrimeField`` row operation at a time.
 """
 
 from __future__ import annotations
@@ -15,8 +24,10 @@ def rref(rows, field):
     """Reduced row echelon form.
 
     Returns ``(reduced_rows, pivot_columns)``; zero rows are kept in place
-    at the bottom.
+    at the bottom.  Over QQ the field runs it (see the module docstring).
     """
+    if field.characteristic == 0:
+        return field.rref(rows)
     m = [list(r) for r in rows]
     nrows = len(m)
     ncols = len(m[0]) if nrows else 0

@@ -294,14 +294,3 @@ def sample_lg1(p: int, seed: int, max_attempts: int = 20, want_census: bool = Fa
                          census_report=report if want_census else None)
     raise BudgetExceededError(f"no witness-free Lagrangian found in {max_attempts} attempts")
 
-
-def census_brute(A: LagrangianSubspace) -> dict:
-    """Reference census by pure-Python strata; only sensible for p = 2."""
-    p = _require_prime_field(A)
-    field = A.field
-    counts: dict[int, int] = {}
-    for desc in batched.grassmann_block_descriptors(p, chunk=4096):
-        for m in batched.build_grassmann_block(desc, p):
-            k = stratum(A, _witness_subspace(field, m))
-            counts[k] = counts.get(k, 0) + 1
-    return counts

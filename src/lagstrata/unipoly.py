@@ -74,9 +74,6 @@ class PolyRing:
             return ()
         return _trim([F.mul(c, a) for a in f], F)
 
-    def degree(self, f):
-        return len(f) - 1
-
     def valuation(self, f):
         """Index of the lowest nonzero coefficient; None for the zero poly."""
         for i, c in enumerate(f):
@@ -125,22 +122,3 @@ class PolyRing:
             for j in range(len(g)):
                 r[i - dg + j] = F.sub(r[i - dg + j], F.mul(c, g[j]))
         return _trim(q, F), _trim(r, F)
-
-
-def lagrange_interpolate(xs, ys, field):
-    """The unique polynomial of degree < len(xs) through the given points."""
-    ring = PolyRing(field)
-    n = len(xs)
-    if len(set(field.to_str(x) for x in xs)) != n:
-        raise ValueError("interpolation nodes must be distinct")
-    result = ring.zero
-    for i in range(n):
-        num = ring.one
-        den = field.one
-        for j in range(n):
-            if j == i:
-                continue
-            num = ring.mul(num, (field.neg(xs[j]), field.one))
-            den = field.mul(den, field.sub(xs[i], xs[j]))
-        result = ring.add(result, ring.scale(field.mul(ys[i], field.inv(den)), num))
-    return result

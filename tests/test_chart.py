@@ -13,12 +13,12 @@ from lagstrata.strata import stratum
 from lagstrata.chart import (chart_frame, chart_subspace, chart_point_of,
                              chart_quadric, graph_matrix_of_tangent,
                              chart_kernel_coords,
-                             linear_part_matrices, local_equations,
-                             vanishing_order, kernel_restriction_rank,
+                             linear_part_matrices, kernel_restriction_rank,
                              plant_corank, decomposable_point_in,
                              ChartPreconditionError)
 from lagstrata.lagrangian import (NotTransverseError, lagrangian_from_graph,
                                   is_decomposable, random_subspace)
+from references import local_equations, vanishing_order
 
 F101 = GF(101)
 

@@ -115,6 +115,8 @@ def test_accept_all_aggregates_fast_criteria():
     (("census", "--prime", "4"), 2),
     (("census", "--prime", "17"), 3),
     (("census", "--prime", "11"), 3),
+    (("census", "--threads", "0"), 2),
+    (("census", "--prime", "2", "--threads", "-3"), 2),
     (("dual-k3", "--trials", "-1"), 2),
     (("dual-k3", "--experiment", "residual", "--trials", "0"), 2),
     (("chart-verify", "--trials", "-1"), 2),

@@ -178,8 +178,14 @@ def matrices(draw, field):
     """Small matrices with repeated rows and planted zero rows and columns."""
     nrows = draw(st.integers(min_value=1, max_value=7))
     ncols = draw(st.integers(min_value=1, max_value=8))
-    entry = st.one_of(st.just(0), st.integers(min_value=-200, max_value=200))
-    rows = [[field.from_int(draw(entry)) for _ in range(ncols)] for _ in range(nrows)]
+    num = st.one_of(st.just(0), st.integers(min_value=-200, max_value=200))
+    if field == QQ:
+        # denominators other than 1 make the fraction-free rref clear them
+        entry = st.builds(Fraction, num, st.one_of(st.just(1), st.integers(min_value=1,
+                                                                            max_value=12)))
+    else:
+        entry = num.map(field.from_int)
+    rows = [[draw(entry) for _ in range(ncols)] for _ in range(nrows)]
     for _ in range(draw(st.integers(min_value=0, max_value=2))):
         rows.insert(draw(st.integers(min_value=0, max_value=len(rows))), list(rows[0]))
     for _ in range(draw(st.integers(min_value=0, max_value=2))):
@@ -230,6 +236,53 @@ def test_rref_against_sympy(rows):
                                       for r in rows]).rref()
     assert pivots == list(want_pivots)
     assert red == [[Fraction(int(x.p), int(x.q)) for x in want.row(i)] for i in range(want.rows)]
+
+
+@st.composite
+def low_rank_fractions(draw, nrows, ncols):
+    """nrows x ncols over QQ of rank at most min(nrows, ncols), drawn as a
+    product with rational factors, as criterion 7's chart matrices are."""
+    small = st.builds(Fraction, st.integers(min_value=-9, max_value=9),
+                      st.integers(min_value=1, max_value=6))
+    k = draw(st.integers(min_value=0, max_value=min(nrows, ncols)))
+    if not k:
+        return [[Fraction(0)] * ncols for _ in range(nrows)]
+    left = [[draw(small) for _ in range(k)] for _ in range(nrows)]
+    right = [[draw(small) for _ in range(ncols)] for _ in range(k)]
+    return mat_mul(left, right, QQ)
+
+
+# criterion 7 reduces 10 x 20 graph matrices, 10 x 10 quadrics and
+# 3..8 x 10 restrictions to kernels
+CRITERION_7_SHAPES = [(10, 20), (10, 10)] + [(n, 10) for n in range(3, 9)]
+
+
+@pytest.mark.parametrize("shape", CRITERION_7_SHAPES)
+@settings(max_examples=8, deadline=None)
+@given(data=st.data())
+def test_rref_criterion_7_shapes_match_references(shape, data):
+    sympy = pytest.importorskip("sympy")
+    rows = data.draw(low_rank_fractions(*shape))
+    assert_same_rref(rows, QQ)
+    red, pivots = rref(rows, QQ)
+    want, want_pivots = sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in r]
+                                      for r in rows]).rref()
+    assert pivots == list(want_pivots)
+    assert red == [[Fraction(int(x.p), int(x.q)) for x in want.row(i)] for i in range(want.rows)]
+
+
+def test_rref_of_a_combination_across_denominators():
+    F = Fraction
+    r1 = [F(1, 2), F(1, 3), F(0), F(5, 7), F(-2)]
+    r2 = [F(0), F(2, 5), F(1, 7), F(3), F(4, 9)]
+    r3 = [F(3, 4) * a - F(5, 6) * b for a, b in zip(r1, r2)]
+    # an int zero row comes back as given, as per-row elimination leaves it
+    for rows in ([r1, r2, r3], [r3, r1, r2], [r1, r3, [0] * 5, r2]):
+        assert_same_rref(rows, QQ)
+        red, pivots = rref(rows, QQ)
+        assert pivots == [0, 1]
+        assert all(x == 0 for r in red[2:] for x in r)
+        assert LinearSubspace.from_vectors(QQ, 5, [r1, r2]).contains(r3)
 
 
 # Reference: the per-term product mat_mul ran before each field's dot, two

@@ -10,9 +10,10 @@ from lagstrata.lagrangian import (tangent_space, f_space, random_graph_lagrangia
                                   random_subspace, standard_frame,
                                   lagrangian_from_graph, random_symmetric,
                                   LagrangianSubspace)
-from lagstrata.strata import (stratum, census, census_brute, sigma_probe,
+from lagstrata.strata import (stratum, census, sigma_probe,
                               delta_witnesses, gamma_witnesses, sample_lg1,
                               BudgetExceededError)
+from references import census_brute
 
 
 def basis_subspace(field, idxs):

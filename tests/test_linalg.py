@@ -227,15 +227,19 @@ def test_rref_edge_shapes_match_per_entry_elimination(field):
     assert rref([[z, c, one]], field) == ([[z, one, field.div(one, c)]], [1])
 
 
-@settings(max_examples=40, deadline=None)
-@given(matrices(QQ))
-def test_rref_against_sympy(rows):
+def assert_same_as_sympy(rows):
     sympy = pytest.importorskip("sympy")
     red, pivots = rref(rows, QQ)
     want, want_pivots = sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in r]
                                       for r in rows]).rref()
     assert pivots == list(want_pivots)
     assert red == [[Fraction(int(x.p), int(x.q)) for x in want.row(i)] for i in range(want.rows)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(matrices(QQ))
+def test_rref_against_sympy(rows):
+    assert_same_as_sympy(rows)
 
 
 @st.composite
@@ -261,14 +265,9 @@ CRITERION_7_SHAPES = [(10, 20), (10, 10)] + [(n, 10) for n in range(3, 9)]
 @settings(max_examples=8, deadline=None)
 @given(data=st.data())
 def test_rref_criterion_7_shapes_match_references(shape, data):
-    sympy = pytest.importorskip("sympy")
     rows = data.draw(low_rank_fractions(*shape))
     assert_same_rref(rows, QQ)
-    red, pivots = rref(rows, QQ)
-    want, want_pivots = sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in r]
-                                      for r in rows]).rref()
-    assert pivots == list(want_pivots)
-    assert red == [[Fraction(int(x.p), int(x.q)) for x in want.row(i)] for i in range(want.rows)]
+    assert_same_as_sympy(rows)
 
 
 def test_rref_of_a_combination_across_denominators():

@@ -64,8 +64,8 @@ def check_exact(p: int, steps: int = 1, terms: int = 0) -> None:
                          "leave the exact range")
 
 
-def batch_rank(mats: np.ndarray, p: int, stop_rank: int | None = None,
-               assume_reduced: bool = False, in_place: bool = False) -> np.ndarray:
+def batch_rank(mats: np.ndarray, p: int, assume_reduced: bool = False,
+               in_place: bool = False) -> np.ndarray:
     """Ranks of a batch of matrices over F_p; ``mats`` has shape (N, r, c).
 
     Eliminates a (steps, width, N) array, batch index innermost, with
@@ -73,9 +73,7 @@ def batch_rank(mats: np.ndarray, p: int, stop_rank: int | None = None,
     takes its first nonzero entry as pivot, and updates only lines s+1:,
     which also zeroes the pivot's own entries mod p, so no row is swapped
     or reused.  Only the active line, pivot entries and factors are reduced
-    (delayed reduction).  With ``stop_rank`` the loop exits once every rank
-    is at least that value (larger ranks may then be underreported, down to
-    ``stop_rank``).  ``in_place`` destroys a float32 input that is a view
+    (delayed reduction).  ``in_place`` destroys a float32 input that is a view
     of a C-contiguous (steps, width, N) array instead of copying it.
     """
     src = np.asarray(mats)
@@ -92,10 +90,7 @@ def batch_rank(mats: np.ndarray, p: int, stop_rank: int | None = None,
     rank = np.zeros(N, dtype=np.int64)
     aN = np.arange(N)
     buf = np.empty_like(a[1:])
-    target = steps if stop_rank is None else min(steps, stop_rank)
-    for s in range(steps):
-        if N == 0 or (rank >= target).all():
-            break
+    for s in range(steps if N else 0):
         rank += _eliminate_line(a, s, p, aN, buf)[1] != 0
     return rank
 

@@ -29,7 +29,7 @@ from .linalg import (LinearSubspace, rank, right_nullspace, mat_mul, transpose,
                      symmetric_with_kernel)
 from .lagrangian import (LagrangianFrame, tangent_space,
                          graph_of, lagrangian_from_graph, is_decomposable,
-                         NotTransverseError, random_subspace)
+                         random_subspace)
 from .unipoly import PolyRing
 
 
@@ -68,24 +68,6 @@ def chart_subspace(field, B) -> LinearSubspace:
     rows = [[field.one if j == i else field.zero for j in range(3)] + list(B[i])
             for i in range(3)]
     return LinearSubspace.from_vectors(field, 6, rows)
-
-
-def chart_point_of(U: LinearSubspace):
-    """Inverse of chart_subspace; fails when U meets <e4,e5,e6>."""
-    if U.ambient != 6 or U.dim != 3:
-        raise ValueError("expected a rank-3 subspace of the 6-dimensional space")
-    rows = [list(r) for r in U.rows]
-    field = U.field
-    # rows are already in rref; the chart is exactly pivot pattern (0,1,2)
-    pivots = []
-    for r in rows:
-        for j, x in enumerate(r):
-            if not field.is_zero(x):
-                pivots.append(j)
-                break
-    if pivots != [0, 1, 2]:
-        raise NotTransverseError("subspace lies outside the graph chart")
-    return [r[3:] for r in rows]
 
 
 def _idx(i: int, j: int) -> int:

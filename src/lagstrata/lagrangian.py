@@ -50,10 +50,6 @@ def is_lagrangian_rows(rows, field) -> bool:
     return True
 
 
-def is_lagrangian(S: LinearSubspace) -> bool:
-    return S.ambient == TRI_DIM and S.dim == LAG_DIM and is_lagrangian_rows(S.rows, S.field)
-
-
 def tangent_space(U: LinearSubspace) -> LagrangianSubspace:
     """T_U = wedge^2(U) ^ W for a 3-dimensional U in W."""
     if U.ambient != DIM_W or U.dim != 3:

@@ -1,169 +1,205 @@
 """Exact Schubert calculus in the Chow rings of G(3,6) and LG(n,2n).
 
-The G(3,6) ring is computed through Schur polynomials in three variables
-(products decompose by repeated subtraction of the lexicographically
-leading Schur polynomial, then truncate to the 3x3 box); Chern classes of
-the twisted cotangent extension come from Chern characters and Newton's
-identities over exact rationals.  The Lagrangian side uses the one-row
-Pieri rule on strict partitions: the multiplicity of mu in sigma_r *
-sigma_lambda is 2^N with N the number of connected components of the
-shifted skew diagram mu/lambda containing no diagonal box, summed over
-horizontal strips; general products reduce to Pieri steps by a
-unitriangular recursion on the part of the multiplier below its first row.
+One engine computes both rings.  A ``ChowRing`` names its Schubert basis:
+partitions in the 3x3 box for G(3,6), strict partitions with parts <= n
+for LG(n,2n).  The one-row Pieri rule sums over horizontal strips mu/lam
+inside that basis: each strip counts once in G(3,6) (Fulton, *Young
+Tableaux* ch. 9), and 2^N times in LG(n,2n), with N the number of connected
+components of the shifted skew diagram mu/lam containing no diagonal box
+(Hiller-Boe, *Adv. Math.* 62, 1986).  General products reduce to Pieri
+steps by a unitriangular recursion on the part of the multiplier below its
+first row.  Chern classes of the twisted cotangent extension on G(3,6) come
+from Chern characters and Newton's identities over exact rationals.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
-from math import factorial
+from math import factorial, gcd, isqrt
+from typing import NamedTuple
 
-BOX_ROWS = 3
-BOX_COLS = 3
-G36_DIM = 9
-POINT = (3, 3, 3)
+from .fields import QQ
+from .linalg import right_nullspace, solve
 
 
 # ---------------------------------------------------------------------------
-# partitions and Schur polynomials in three variables
+# the two rings, their Pieri rule and their products
 
 
-def _norm(p):
-    p = tuple(sorted((x for x in p if x), reverse=True))
-    return p
+class ChowRing(NamedTuple):
+    """A Schubert basis: partitions with at most ``rows`` parts, each at most
+    ``cols``; strictly decreasing ones when ``strict``."""
+    rows: int
+    cols: int
+    strict: bool
+
+    @property
+    def point(self) -> tuple:
+        """The class of a point: the largest partition of the basis."""
+        return tuple(self.cols - i * self.strict for i in range(self.rows))
+
+    @property
+    def dim(self) -> int:
+        return sum(self.point)
 
 
-def box_partitions():
-    out = []
-    for a in range(BOX_COLS + 1):
-        for b in range(a + 1):
-            for c in range(b + 1):
-                out.append(_norm((a, b, c)))
-    return sorted(set(out), key=lambda t: (sum(t), t))
+G36 = ChowRing(3, 3, False)
+
+
+def LG(n: int) -> ChowRing:
+    """The Lagrangian Grassmannian LG(n, 2n)."""
+    return ChowRing(n, n, True)
+
+
+def partitions(ring: ChowRing):
+    """The Schubert basis of ``ring``, by codimension, then lexicographically."""
+    def grow(lam):
+        yield lam
+        if len(lam) < ring.rows:
+            for part in range(1, (lam[-1] - ring.strict if lam else ring.cols) + 1):
+                yield from grow(lam + (part,))
+    return sorted(grow(()), key=lambda t: (sum(t), t))
 
 
 @lru_cache(maxsize=None)
-def schur_monomials(lam):
-    """Monomials of s_lam(x1,x2,x3) as {exponent triple: coeff}."""
-    lam = _norm(lam)
-    if len(lam) > 3:
-        return {}
-    rows = list(lam) + [0] * (3 - len(lam))
+def _basis(ring: ChowRing) -> frozenset:
+    return frozenset(partitions(ring))
+
+
+def _strips(ring: ChowRing, r: int, lam: tuple):
+    """The basis partitions mu with mu/lam a horizontal strip of r boxes:
+    lam_i <= mu_i and mu_{i+1} <= lam_i."""
+    low = lam + (0,)
+    nrows = min(len(lam) + 1, ring.rows)
+
+    def grow(mu, left):
+        i = len(mu)
+        if i == nrows:
+            if not left:
+                yield tuple(x for x in mu if x)
+            return
+        hi = ring.cols if i == 0 else min(low[i - 1], mu[i - 1] - ring.strict)
+        for m in range(low[i], min(hi, low[i] + left) + 1):
+            yield from grow(mu + (m,), left - (m - low[i]))
+
+    return grow((), r)
+
+
+def _multiplicity(ring: ChowRing, lam: tuple, mu: tuple) -> int:
+    """1 in G(3,6); 2^N in LG(n,2n).  Row i of the shifted diagram occupies
+    columns i .. i + mu_i - 1, so the new boxes of a row form one run, and the
+    runs of rows i and i + 1 touch exactly when mu_{i+1} = lam_i.  The only
+    diagonal box is the first box of a new row (lam_i = 0)."""
+    if not ring.strict:
+        return 1
+    low = lam + (0,)
+    grown = [i for i in range(len(mu)) if mu[i] > low[i]]
+    components = sum(1 for i in grown if not (i - 1 in grown and mu[i] == low[i - 1]))
+    return 2 ** (components - (len(mu) > len(lam)))
+
+
+@lru_cache(maxsize=None)
+def pieri(ring: ChowRing, r: int, lam: tuple):
+    """sigma_r * sigma_lam in ``ring`` as {mu: coeff}."""
+    if not 0 <= r <= ring.cols:
+        raise ValueError("row class out of range")
+    return {mu: _multiplicity(ring, lam, mu) for mu in _strips(ring, r, lam)}
+
+
+@lru_cache(maxsize=None)
+def basis_product(ring: ChowRing, lam: tuple, mu: tuple):
+    """sigma_lam * sigma_mu in ``ring`` as {nu: coeff}, a cached dict that
+    callers must not change.
+
+    With lam = (r, rest), sigma_r * sigma_rest is sigma_lam plus classes
+    whose first part exceeds r, so sigma_lam * sigma_mu is
+    sigma_r * (sigma_rest * sigma_mu) minus those classes times sigma_mu.
+    The factor with the smaller part below its first row is expanded.
+    """
+    if sum(lam[1:]) > sum(mu[1:]):
+        lam, mu = mu, lam
+    if len(lam) <= 1:
+        return pieri(ring, sum(lam), mu)
+    r, rest = lam[0], lam[1:]
+    head = pieri(ring, r, rest)
+    if head.get(lam) != 1:
+        raise AssertionError("unitriangularity failure in the Pieri recursion")
     out: dict = {}
-
-    def fill(r, c, prev_row, cur_row, weight):
-        if r == 3:
-            key = tuple(weight)
-            out[key] = out.get(key, 0) + 1
-            return
-        if c == rows[r]:
-            fill(r + 1, 0, cur_row, [], weight)
-            return
-        lo = cur_row[c - 1] if c else 1
-        if r > 0:
-            lo = max(lo, prev_row[c] + 1)
-        for v in range(lo, 4):
-            weight[v - 1] += 1
-            fill(r, c + 1, prev_row, cur_row + [v], weight)
-            weight[v - 1] -= 1
-
-    fill(0, 0, [], [], [0, 0, 0])
-    return out
+    for nu, c in basis_product(ring, rest, mu).items():
+        for tau, d in pieri(ring, r, nu).items():
+            out[tau] = out.get(tau, 0) + c * d
+    for nu, c in head.items():
+        if nu != lam:
+            for tau, d in basis_product(ring, nu, mu).items():
+                out[tau] = out.get(tau, 0) - c * d
+    return {k: v for k, v in out.items() if v}
 
 
-@lru_cache(maxsize=None)
-def schur_product(lam, mu):
-    """Decomposition of s_lam * s_mu into Schur polynomials (3 rows)."""
-    lam, mu = _norm(lam), _norm(mu)
-    prod: dict = {}
-    for e1, c1 in schur_monomials(lam).items():
-        for e2, c2 in schur_monomials(mu).items():
-            key = (e1[0] + e2[0], e1[1] + e2[1], e1[2] + e2[2])
-            prod[key] = prod.get(key, 0) + c1 * c2
-    result: dict = {}
-    while prod:
-        lead = max((k for k, v in prod.items() if v), default=None)
-        if lead is None:
-            break
-        coeff = prod[lead]
-        assert lead[0] >= lead[1] >= lead[2], "leading monomial must be a partition"
-        result[_norm(lead)] = coeff
-        for e, c in schur_monomials(_norm(lead)).items():
-            prod[e] = prod.get(e, 0) - coeff * c
-        prod = {k: v for k, v in prod.items() if v}
-    return result
+class ChowClass:
+    """Integer (or exact rational) combination of the Schubert classes of a ring."""
 
+    __slots__ = ("ring", "coeffs")
 
-@lru_cache(maxsize=None)
-def g36_basis_product(lam, mu):
-    """sigma_lam * sigma_mu in A*(G(3,6)): Schur product, box-truncated."""
-    return {nu: c for nu, c in schur_product(lam, mu).items()
-            if nu and nu[0] <= BOX_COLS or nu == ()}
-
-
-class ChowClassG36:
-    """Integer (or exact rational) combination of box Schubert classes."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs=None):
-        clean = {}
-        for k, v in (coeffs or {}).items():
-            k = _norm(k)
-            if v:
-                if k and (len(k) > BOX_ROWS or k[0] > BOX_COLS):
-                    raise ValueError(f"partition {k} outside the 3x3 box")
-                clean[k] = clean.get(k, 0) + v
-        self.coeffs = {k: v for k, v in clean.items() if v}
+    def __init__(self, ring: ChowRing, coeffs=None):
+        self.ring = ring
+        self.coeffs = {tuple(k): v for k, v in (coeffs or {}).items() if v}
+        outside = self.coeffs.keys() - _basis(ring)
+        if outside:
+            raise ValueError(f"{sorted(outside)} are not Schubert classes of {ring}")
 
     @classmethod
-    def sigma(cls, lam, c=1):
-        return cls({_norm(lam): c})
+    def sigma(cls, ring, lam, c=1):
+        return cls(ring, {tuple(lam): c})
 
     @classmethod
-    def one(cls):
-        return cls({(): 1})
+    def one(cls, ring):
+        return cls(ring, {(): 1})
 
     @classmethod
-    def zero(cls):
-        return cls({})
+    def zero(cls, ring):
+        return cls(ring)
+
+    def _check(self, other):
+        if self.ring != other.ring:
+            raise ValueError(f"classes live in different Chow rings: {self.ring}, {other.ring}")
 
     def __add__(self, other):
+        self._check(other)
         out = dict(self.coeffs)
         for k, v in other.coeffs.items():
             out[k] = out.get(k, 0) + v
-        return ChowClassG36(out)
+        return ChowClass(self.ring, out)
 
     def __sub__(self, other):
-        out = dict(self.coeffs)
-        for k, v in other.coeffs.items():
-            out[k] = out.get(k, 0) - v
-        return ChowClassG36(out)
-
-    def __neg__(self):
-        return ChowClassG36({k: -v for k, v in self.coeffs.items()})
+        return self + other.scale(-1)
 
     def scale(self, c):
-        return ChowClassG36({k: c * v for k, v in self.coeffs.items()})
+        return ChowClass(self.ring, {k: c * v for k, v in self.coeffs.items()})
 
     def __mul__(self, other):
-        if not isinstance(other, ChowClassG36):
+        if not isinstance(other, ChowClass):
             return self.scale(other)
+        self._check(other)
         out: dict = {}
         for lam, a in self.coeffs.items():
             for mu, b in other.coeffs.items():
-                for nu, c in g36_basis_product(lam, mu).items():
+                for nu, c in basis_product(self.ring, lam, mu).items():
                     out[nu] = out.get(nu, 0) + a * b * c
-        return ChowClassG36(out)
+        return ChowClass(self.ring, out)
 
     __rmul__ = __mul__
 
+    def mult_row(self, r: int):
+        """Multiplication by the one-row class sigma_r."""
+        return self * ChowClass.sigma(self.ring, (r,))
+
     def __eq__(self, other):
-        return isinstance(other, ChowClassG36) and self.coeffs == other.coeffs
+        return (isinstance(other, ChowClass) and self.ring == other.ring
+                and self.coeffs == other.coeffs)
 
     def coefficient(self, lam):
-        return self.coeffs.get(_norm(lam), 0)
+        return self.coeffs.get(tuple(lam), 0)
 
     def codimensions(self):
         return sorted({sum(k) for k in self.coeffs})
@@ -180,87 +216,75 @@ class ChowClassG36:
         return " + ".join(f"{v}*s{k}" for k, v in sorted(self.coeffs.items()))
 
 
-H = ChowClassG36.sigma((1,))
-
-
-def power(x: ChowClassG36, n: int) -> ChowClassG36:
-    out = ChowClassG36.one()
+def power(x: ChowClass, n: int) -> ChowClass:
+    out = ChowClass.one(x.ring)
     for _ in range(n):
         out = out * x
     return out
 
 
-def degree_of(x: ChowClassG36) -> int:
-    """Degree under the Pluecker embedding: pair x * h^(9 - codim) with a point."""
+def degree_pairing(x: ChowClass) -> int:
+    """The coefficient of the point class: the degree of the top-codimension part."""
+    return x.coefficient(x.ring.point)
+
+
+def degree_of(x: ChowClass) -> int:
+    """Degree under the Pluecker embedding: pair x * h^(dim - codim) with a point."""
     if not x.coeffs:
         return 0
     if not x.is_pure():
         raise ValueError("degree needs a pure-codimension class")
-    d = x.codimensions()[0]
-    top = x * power(H, G36_DIM - d)
-    return top.coefficient(POINT)
+    h = ChowClass.sigma(x.ring, (1,))
+    return degree_pairing(x * power(h, x.ring.dim - x.codimensions()[0]))
+
+
+# ---------------------------------------------------------------------------
+# G(3,6): Chern classes and the strata classes
+
+
+H = ChowClass.sigma(G36, (1,))
 
 
 def g36_degree() -> int:
-    return power(H, 9).coefficient(POINT)
+    return degree_of(ChowClass.one(G36))
+
+
+def _sigma_or_zero(lam, c=1) -> ChowClass:
+    return ChowClass.sigma(G36, lam, c) if lam in _basis(G36) else ChowClass.zero(G36)
 
 
 # tautological conversions: S is the rank-3 subbundle, Q the quotient
-def chern_sub(i: int) -> ChowClassG36:
-    """c_i(S) = (-1)^i sigma_{1^i}."""
-    if i == 0:
-        return ChowClassG36.one()
-    if i > 3:
-        return ChowClassG36.zero()
-    return ChowClassG36.sigma((1,) * i, (-1) ** i)
+def chern_sub(i: int, dual: bool = False) -> ChowClass:
+    """c_i(S) = (-1)^i sigma_{1^i}; c_i(S^dual) = sigma_{1^i} with ``dual``."""
+    return _sigma_or_zero((1,) * i, 1 if dual else (-1) ** i)
 
 
-def chern_sub_dual(i: int) -> ChowClassG36:
-    """c_i(S^dual) = sigma_{1^i}."""
-    if i == 0:
-        return ChowClassG36.one()
-    if i > 3:
-        return ChowClassG36.zero()
-    return ChowClassG36.sigma((1,) * i)
-
-
-def chern_quot(i: int) -> ChowClassG36:
+def chern_quot(i: int) -> ChowClass:
     """c_i(Q) = sigma_i."""
-    if i == 0:
-        return ChowClassG36.one()
-    if i > 3:
-        return ChowClassG36.zero()
-    return ChowClassG36.sigma((i,))
-
-
-def _rationalize(x: ChowClassG36) -> ChowClassG36:
-    return ChowClassG36({k: Fraction(v) for k, v in x.coeffs.items()})
+    return _sigma_or_zero((i,) if i else ())
 
 
 def _power_sums(cherns, n_max):
     """Newton: power sums p_1..p_n from total Chern classes e_i."""
-    e = [c if isinstance(c, ChowClassG36) else ChowClassG36.zero() for c in cherns]
+    zero = ChowClass.zero(G36)
     p = [None] * (n_max + 1)
     for k in range(1, n_max + 1):
-        acc = ChowClassG36.zero()
-        for i in range(1, k):
-            term = e[i] * p[k - i] if i < len(e) else ChowClassG36.zero()
-            acc = acc + term.scale(Fraction((-1) ** (i - 1)))
-        ek = e[k] if k < len(e) else ChowClassG36.zero()
+        acc = zero
+        for i in range(1, min(k, len(cherns))):
+            acc = acc + (cherns[i] * p[k - i]).scale(Fraction((-1) ** (i - 1)))
+        ek = cherns[k] if k < len(cherns) else zero
         p[k] = acc + ek.scale(Fraction((-1) ** (k - 1) * k))
     return p
 
 
-def _chern_character(rank, cherns, n_max=G36_DIM):
-    p = _power_sums([_rationalize(c) for c in cherns], n_max)
-    ch = [ChowClassG36({(): Fraction(rank)})]
-    for k in range(1, n_max + 1):
-        ch.append(p[k].scale(Fraction(1, factorial(k))))
-    return ch
+def _chern_character(rank, cherns, n_max=G36.dim):
+    p = _power_sums(cherns, n_max)
+    return [ChowClass(G36, {(): Fraction(rank)})] + [
+        p[k].scale(Fraction(1, factorial(k))) for k in range(1, n_max + 1)]
 
 
-def _ch_mul(ch1, ch2, n_max=G36_DIM):
-    out = [ChowClassG36.zero() for _ in range(n_max + 1)]
+def _ch_mul(ch1, ch2, n_max=G36.dim):
+    out = [ChowClass.zero(G36) for _ in range(n_max + 1)]
     for i, a in enumerate(ch1):
         for j, b in enumerate(ch2):
             if i + j <= n_max:
@@ -268,32 +292,26 @@ def _ch_mul(ch1, ch2, n_max=G36_DIM):
     return out
 
 
-def _ch_exp_line(c1: ChowClassG36, n_max=G36_DIM):
-    ch = [ChowClassG36({(): Fraction(1)})]
-    acc = ChowClassG36({(): Fraction(1)})
+def _ch_exp_line(c1: ChowClass, n_max=G36.dim):
+    ch = [ChowClass(G36, {(): Fraction(1)})]
     for k in range(1, n_max + 1):
-        acc = acc * _rationalize(c1)
-        ch.append(acc.scale(Fraction(1, factorial(k))))
+        ch.append((ch[-1] * c1).scale(Fraction(1, k)))
     return ch
 
 
-def _cherns_from_ch(ch, rank, n_max=G36_DIM):
+def _cherns_from_ch(ch, n_max=G36.dim):
     p = [None] + [ch[k].scale(Fraction(factorial(k))) for k in range(1, n_max + 1)]
-    e = [ChowClassG36({(): Fraction(1)})]
+    e = [ChowClass(G36, {(): Fraction(1)})]
     for k in range(1, n_max + 1):
-        acc = ChowClassG36.zero()
+        acc = ChowClass.zero(G36)
         for i in range(1, k + 1):
             acc = acc + (e[k - i] * p[i]).scale(Fraction((-1) ** (i - 1)))
         e.append(acc.scale(Fraction(1, k)))
     out = []
     for k, cls in enumerate(e):
-        ints = {}
-        for part, v in cls.coeffs.items():
-            v = Fraction(v)
-            if v.denominator != 1:
-                raise AssertionError(f"non-integral Chern class c_{k}: {cls!r}")
-            ints[part] = int(v)
-        out.append(ChowClassG36(ints))
+        if any(Fraction(v).denominator != 1 for v in cls.coeffs.values()):
+            raise AssertionError(f"non-integral Chern class c_{k}: {cls!r}")
+        out.append(ChowClass(G36, {part: int(v) for part, v in cls.coeffs.items()}))
     return out
 
 
@@ -306,14 +324,13 @@ def chern_t_dual():
     """
     ch_s = _chern_character(3, [chern_sub(i) for i in range(4)])
     ch_qd = _chern_character(3, [chern_quot(i).scale((-1) ** i) for i in range(4)])
-    ch_omega1 = _ch_mul(_ch_mul(ch_s, ch_qd), _ch_exp_line(H))
     ch_o1 = _ch_exp_line(H)
-    ch_t = [a + b for a, b in zip(ch_omega1, ch_o1)]
-    cs = _cherns_from_ch(ch_t, 10)
-    return tuple(cs + [ChowClassG36.zero()] * (11 - len(cs)))[:11]
+    ch_omega1 = _ch_mul(_ch_mul(ch_s, ch_qd), ch_o1)
+    cs = _cherns_from_ch([a + b for a, b in zip(ch_omega1, ch_o1)])
+    return tuple(cs + [ChowClass.zero(G36)])
 
 
-def pr_class(k: int) -> ChowClassG36:
+def pr_class(k: int) -> ChowClass:
     """Degeneracy-locus classes: polynomials in the Chern classes above."""
     c = chern_t_dual()
     if k == 1:
@@ -334,26 +351,22 @@ def stratum_degrees():
 # degeneracy-locus class comes out as 16 h^3 - 12 h s2 + 12 s3: this forces
 # s_i = c_i of the DUAL tautological subbundle, i.e. s_i = sigma_{1^i}.
 def _hs_basis():
-    g1 = power(H, 3)
-    g2 = H * chern_sub_dual(2)
-    g3 = chern_sub_dual(3)
-    return g1, g2, g3
+    return power(H, 3), H * chern_sub(2, dual=True), chern_sub(3, dual=True)
 
 
-def class_in_h_s2_s3(x: ChowClassG36):
+def class_in_h_s2_s3(x: ChowClass):
     """Coordinates (alpha, beta, gamma) with x = alpha h^3 + beta h s2 + gamma s3."""
     if not x.is_pure(3):
         raise ValueError("expected a codimension-3 class")
-    basis3 = [p for p in box_partitions() if sum(p) == 3]
+    basis3 = [p for p in partitions(G36) if sum(p) == 3]
     g = _hs_basis()
-    from .linalg import solve
-    from .fields import QQ
     rows = [[Fraction(gi.coefficient(p)) for gi in g] for p in basis3]
     rhs = [Fraction(x.coefficient(p)) for p in basis3]
     sol = solve(rows, rhs, QQ)
     if sol is None:
         raise AssertionError("class not in the span of (h^3, h s2, s3)")
-    assert all(s.denominator == 1 for s in sol)
+    if any(s.denominator != 1 for s in sol):
+        raise AssertionError(f"non-integral coordinates {sol} in (h^3, h s2, s3)")
     return tuple(int(s) for s in sol)
 
 
@@ -369,7 +382,7 @@ def _quadratic_equations():
     <= 2) to integer coefficients.
     """
     g = _hs_basis()
-    basis6 = [p for p in box_partitions() if sum(p) == 6]
+    basis6 = [p for p in partitions(G36) if sum(p) == 6]
     prods = [[(g[i] * g[j]) for j in range(3)] for i in range(3)]
     sgn = (1, -1, 1)
     first = {0: (1, 0, 0), 1: (0, 1, 0), 2: (0, 0, 1)}
@@ -412,9 +425,6 @@ def _eval_eq(eq, a, b, c):
 def bounding_combination(eqs):
     """Integer combination of the derived equations proportional to the
     (a,b)-negative-definite bounding equation; used to bound the search."""
-    from math import gcd
-    from .linalg import right_nullspace
-    from .fields import QQ
     rows = [[Fraction(_eq_vector(eq)[m]) for eq in eqs]
             + [Fraction(-PAPER_EQ1.get(_MONOMIALS[m], 0))]
             for m in range(len(_MONOMIALS))]
@@ -437,7 +447,7 @@ def _integer_roots_quadratic(A2, A1, A0):
     disc = A1 * A1 - 4 * A2 * A0
     if disc < 0:
         return []
-    r = __import__("math").isqrt(disc)
+    r = isqrt(disc)
     if r * r != disc:
         return []
     out = []
@@ -494,209 +504,7 @@ def connectedness_check():
 
 
 # ---------------------------------------------------------------------------
-# Lagrangian Grassmannian LG(n, 2n)
-
-
-def strict_partitions(n: int):
-    out = []
-    parts = list(range(1, n + 1))
-    for r in range(n + 1):
-        out.extend(combinations(reversed(parts), r))
-    return [tuple(p) for p in out]
-
-
-def _is_strict(mu):
-    return all(mu[i] > mu[i + 1] for i in range(len(mu) - 1))
-
-
-@lru_cache(maxsize=None)
-def lg_pieri(n: int, r: int, lam: tuple):
-    """sigma_r * sigma_lam in H*(LG(n,2n)) as {mu: coeff}.
-
-    mu runs over strict partitions containing lam with |mu| = |lam| + r and
-    mu_{i+1} <= lam_i (a horizontal strip); the multiplicity is 2^N where N
-    counts the connected components of the shifted skew diagram mu/lam
-    (row i occupies shifted columns i .. i + mu_i - 1) containing no
-    diagonal box (i, i).
-    """
-    if r == 0:
-        return {tuple(lam): 1}
-    if not 1 <= r <= n:
-        raise ValueError("row class out of range")
-    lam = tuple(lam)
-    k = len(lam)
-    out: dict = {}
-
-    def coeff(mu):
-        cells = set()
-        for i in range(len(mu)):
-            li = lam[i] if i < k else 0
-            for c in range(li, mu[i]):
-                cells.add((i + 1, i + 1 + c))
-        seen = set()
-        ncomp = 0
-        for cell in cells:
-            if cell in seen:
-                continue
-            stack = [cell]
-            seen.add(cell)
-            touches_diag = False
-            while stack:
-                i, c = stack.pop()
-                if i == c:
-                    touches_diag = True
-                for nb in ((i + 1, c), (i - 1, c), (i, c + 1), (i, c - 1)):
-                    if nb in cells and nb not in seen:
-                        seen.add(nb)
-                        stack.append(nb)
-            if not touches_diag:
-                ncomp += 1
-        return 2 ** ncomp
-
-    nrows = k + 1
-    mu = [0] * nrows
-
-    def rec(i, remaining):
-        if i == nrows or (i > 0 and mu[i - 1] == 0):
-            if remaining == 0 and all(mu[j] == (lam[j] if j < k else 0)
-                                      for j in range(i, nrows)):
-                m = tuple(x for x in mu[:i] if x)
-                out[m] = out.get(m, 0) + coeff(m)
-            return
-        lo = lam[i] if i < k else 0
-        hi = n if i == 0 else min(mu[i - 1] - 1, lam[i - 1])
-        hi = min(hi, lo + remaining)
-        for m in range(lo, hi + 1):
-            mu[i] = m
-            rec(i + 1, remaining - (m - lo))
-        mu[i] = 0
-
-    rec(0, r)
-    return out
-
-
-@lru_cache(maxsize=None)
-def lg_basis_product(n: int, lam: tuple, mu: tuple):
-    """sigma_lam * sigma_mu in H*(LG(n,2n)) as {nu: coeff}."""
-    lam, mu = tuple(lam), tuple(mu)
-    if sum(lam) - (lam[0] if lam else 0) > sum(mu) - (mu[0] if mu else 0):
-        lam, mu = mu, lam
-    if not lam:
-        return {mu: 1}
-    if len(lam) == 1:
-        return dict(lg_pieri(n, lam[0], mu))
-    r, rest = lam[0], tuple(lam[1:])
-    head = lg_pieri(n, r, rest)
-    assert head.get(lam) == 1, "unitriangularity failure in the Pieri recursion"
-    out: dict = {}
-    base = lg_basis_product(n, rest, mu)
-    for nu, c in base.items():
-        for tau, d in lg_pieri(n, r, nu).items():
-            out[tau] = out.get(tau, 0) + c * d
-    for nu, c in head.items():
-        if nu == lam:
-            continue
-        for tau, d in lg_basis_product(n, nu, mu).items():
-            out[tau] = out.get(tau, 0) - c * d
-    return {k: v for k, v in out.items() if v}
-
-
-class ChowClassLG:
-    """Integer combination of strict-partition classes of LG(n,2n)."""
-
-    __slots__ = ("n", "coeffs")
-
-    def __init__(self, n: int, coeffs=None):
-        self.n = n
-        clean = {}
-        for k, v in (coeffs or {}).items():
-            k = tuple(k)
-            if v:
-                if k and (not _is_strict(k) or k[0] > n):
-                    raise ValueError(f"{k} is not a strict partition bounded by {n}")
-                clean[k] = clean.get(k, 0) + v
-        self.coeffs = {k: v for k, v in clean.items() if v}
-
-    @classmethod
-    def sigma(cls, n, lam, c=1):
-        return cls(n, {tuple(lam): c})
-
-    @classmethod
-    def one(cls, n):
-        return cls(n, {(): 1})
-
-    def __add__(self, other):
-        self._check(other)
-        out = dict(self.coeffs)
-        for k, v in other.coeffs.items():
-            out[k] = out.get(k, 0) + v
-        return ChowClassLG(self.n, out)
-
-    def __sub__(self, other):
-        self._check(other)
-        out = dict(self.coeffs)
-        for k, v in other.coeffs.items():
-            out[k] = out.get(k, 0) - v
-        return ChowClassLG(self.n, out)
-
-    def scale(self, c):
-        return ChowClassLG(self.n, {k: c * v for k, v in self.coeffs.items()})
-
-    def _check(self, other):
-        if self.n != other.n:
-            raise ValueError("classes live on different Lagrangian Grassmannians")
-
-    def __mul__(self, other):
-        if not isinstance(other, ChowClassLG):
-            return self.scale(other)
-        self._check(other)
-        out: dict = {}
-        for lam, a in self.coeffs.items():
-            for mu, b in other.coeffs.items():
-                for nu, c in lg_basis_product(self.n, lam, mu).items():
-                    out[nu] = out.get(nu, 0) + a * b * c
-        return ChowClassLG(self.n, out)
-
-    __rmul__ = __mul__
-
-    def mult_row(self, r: int):
-        """Fast multiplication by the one-row class sigma_r."""
-        out: dict = {}
-        for lam, a in self.coeffs.items():
-            for mu, c in lg_pieri(self.n, r, lam).items():
-                out[mu] = out.get(mu, 0) + a * c
-        return ChowClassLG(self.n, out)
-
-    def coefficient(self, lam):
-        return self.coeffs.get(tuple(lam), 0)
-
-    def __eq__(self, other):
-        return (isinstance(other, ChowClassLG) and self.n == other.n
-                and self.coeffs == other.coeffs)
-
-    def __repr__(self):
-        if not self.coeffs:
-            return "0"
-        return " + ".join(f"{v}*s{k}" for k, v in sorted(self.coeffs.items()))
-
-
-def lg_point(n: int):
-    return tuple(range(n, 0, -1))
-
-
-def lg_degree_pairing(x: ChowClassLG) -> int:
-    return x.coefficient(lg_point(x.n))
-
-
-def lg_dimension(n: int) -> int:
-    return n * (n + 1) // 2
-
-
-def lg_row_power(n: int, e: int) -> ChowClassLG:
-    out = ChowClassLG.one(n)
-    for _ in range(e):
-        out = out.mult_row(1)
-    return out
+# LG(10,20): the exceptional coefficient; dimension ledgers; Hilbert schemes
 
 
 def exceptional_coefficient(n: int = 10):
@@ -707,11 +515,11 @@ def exceptional_coefficient(n: int = 10):
     returned along with the pairing integers and the (positive) degree of
     the class c1 c3 - 2 c4.
     """
-    N = lg_dimension(n)
-    base = lg_row_power(n, N - 4)
-    X = lg_degree_pairing(base.mult_row(1).mult_row(1).mult_row(2))
-    Y = lg_degree_pairing(base.mult_row(1).mult_row(3))
-    Z = lg_degree_pairing(base.mult_row(4))
+    ring = LG(n)
+    base = power(ChowClass.sigma(ring, (1,)), ring.dim - 4)
+    X = degree_pairing(base.mult_row(1).mult_row(1).mult_row(2))
+    Y = degree_pairing(base.mult_row(1).mult_row(3))
+    Z = degree_pairing(base.mult_row(4))
     denom = Y - 2 * Z
     if denom == 0:
         raise AssertionError("degenerate pairing: deg sigma_(3,1)-class vanished")
@@ -745,8 +553,8 @@ def dimension_ledger():
             "total_f1": f1 + fiber, "total_f2": f2 + fiber,
             "bounded_by_53": f1 + fiber <= 53 and f2 + fiber <= 53,
         })
-    xi = {"parts": (9, 24, 21), "dim": 9 + 24 + 21, "ambient": lg_dimension(10),
-          "is_divisor_bound": 9 + 24 + 21 < lg_dimension(10)}
+    xi = {"parts": (9, 24, 21), "dim": 9 + 24 + 21, "ambient": LG(10).dim,
+          "is_divisor_bound": 9 + 24 + 21 < LG(10).dim}
     return {"rows": rows, "xi": xi}
 
 

@@ -34,6 +34,7 @@ class BudgetExceededError(RuntimeError):
 SCAN_MAX_PRIME = 7      # at p = 11 one scan covers 2,617,126,920 subspaces: hours
 SIGMA_EXHAUSTIVE_MAX_PRIME = 5
 DELTA_MAX_PRIME = 13
+REPORTED_WITNESSES = 16  # a probe's JSON lists its first 16 witnesses
 
 
 def stratum(A: LinearSubspace, U: LinearSubspace) -> int:
@@ -101,7 +102,7 @@ class DivisorProbeResult:
             "verdict": self.verdict,
             "exhaustive": self.exhaustive,
             "trials": self.trials,
-            "witnesses": self.witnesses[:16],
+            "witnesses": self.witnesses[:REPORTED_WITNESSES],
             "detail": self.detail,
         }
 
@@ -170,7 +171,8 @@ def gamma_witnesses(A: LagrangianSubspace, chunk: int = 32768, threads: int = 2)
 
 
 def delta_witnesses(A: LagrangianSubspace, chunk: int = 65536) -> DivisorProbeResult:
-    """Exhaustive scan of P(W) for [w] with dim(A ∩ F_[w]) >= 3."""
+    """Exhaustive scan of P(W) for [w] with dim(A ∩ F_[w]) >= 3; keeps the
+    first witnesses in enumeration order, as many as the report lists."""
     p = _require_prime_field(A)
     if p > DELTA_MAX_PRIME:
         raise BudgetExceededError(f"delta scan is limited to p <= {DELTA_MAX_PRIME}")
@@ -181,12 +183,11 @@ def delta_witnesses(A: LagrangianSubspace, chunk: int = 65536) -> DivisorProbeRe
         vecs = batched.build_projective_block(desc, 6, p)
         dims = batched.f_space_dims(vecs, AM, p)
         total += vecs.shape[0]
-        for h in np.nonzero(dims >= 3)[0]:
-            witnesses.append(([int(x) for x in vecs[h]], int(dims[h])))
+        for h in np.flatnonzero(dims >= 3)[:REPORTED_WITNESSES - len(witnesses)]:
+            witnesses.append({"w": [int(x) for x in vecs[h]], "dim": int(dims[h])})
     return DivisorProbeResult(kind="delta",
                               verdict="found-witness" if witnesses else "none-found",
-                              exhaustive=True, trials=total,
-                              witnesses=[{"w": w, "dim": d} for w, d in witnesses])
+                              exhaustive=True, trials=total, witnesses=witnesses)
 
 
 def sigma_probe(A: LagrangianSubspace, trials: int = 2000, rng=None,

@@ -1,11 +1,14 @@
 """Slow reference routes that tests compare production paths against."""
 
+from functools import lru_cache
 from itertools import combinations
 
 from lagstrata import batched
 from lagstrata.chart import (ChartPreconditionError, chart_matrix_of, chart_quadric,
                              _series_matrix, smith_valuations)
 from lagstrata.dualk3 import _pairing
+from lagstrata.lagrangian import (LAG_DIM, TRI_DIM, NotTransverseError,
+                                  is_lagrangian_rows)
 from lagstrata.linalg import LinearSubspace, solve, transpose
 from lagstrata.strata import _require_prime_field, _witness_subspace, stratum
 from lagstrata.unipoly import PolyRing
@@ -166,3 +169,89 @@ def lagrange_interpolate(xs, ys, field):
             den = field.mul(den, field.sub(xs[i], xs[j]))
         result = ring.add(result, ring.scale(field.mul(ys[i], field.inv(den)), num))
     return result
+
+
+def is_lagrangian(S: LinearSubspace) -> bool:
+    return S.ambient == TRI_DIM and S.dim == LAG_DIM and is_lagrangian_rows(S.rows, S.field)
+
+
+def chart_point_of(U: LinearSubspace):
+    """Inverse of chart_subspace; fails when U meets <e4,e5,e6>."""
+    if U.ambient != 6 or U.dim != 3:
+        raise ValueError("expected a rank-3 subspace of the 6-dimensional space")
+    rows = [list(r) for r in U.rows]
+    field = U.field
+    # rows are already in rref; the chart is exactly pivot pattern (0,1,2)
+    pivots = []
+    for r in rows:
+        for j, x in enumerate(r):
+            if not field.is_zero(x):
+                pivots.append(j)
+                break
+    if pivots != [0, 1, 2]:
+        raise NotTransverseError("subspace lies outside the graph chart")
+    return [r[3:] for r in rows]
+
+
+# Schur polynomials in three variables: the G(3,6) oracle for schubert.basis_product
+
+
+def _norm(p):
+    return tuple(sorted((x for x in p if x), reverse=True))
+
+
+@lru_cache(maxsize=None)
+def schur_monomials(lam):
+    """Monomials of s_lam(x1,x2,x3) as {exponent triple: coeff}, from the
+    semistandard tableaux of shape lam in the entries 1, 2, 3."""
+    lam = _norm(lam)
+    if len(lam) > 3:
+        return {}
+    rows = list(lam) + [0] * (3 - len(lam))
+    out: dict = {}
+
+    def fill(r, c, prev_row, cur_row, weight):
+        if r == 3:
+            key = tuple(weight)
+            out[key] = out.get(key, 0) + 1
+            return
+        if c == rows[r]:
+            fill(r + 1, 0, cur_row, [], weight)
+            return
+        lo = cur_row[c - 1] if c else 1
+        if r > 0:
+            lo = max(lo, prev_row[c] + 1)
+        for v in range(lo, 4):
+            weight[v - 1] += 1
+            fill(r, c + 1, prev_row, cur_row + [v], weight)
+            weight[v - 1] -= 1
+
+    fill(0, 0, [], [], [0, 0, 0])
+    return out
+
+
+@lru_cache(maxsize=None)
+def schur_product(lam, mu):
+    """Decomposition of s_lam * s_mu into Schur polynomials (3 rows), by
+    repeated subtraction of the lexicographically leading one."""
+    lam, mu = _norm(lam), _norm(mu)
+    prod: dict = {}
+    for e1, c1 in schur_monomials(lam).items():
+        for e2, c2 in schur_monomials(mu).items():
+            key = (e1[0] + e2[0], e1[1] + e2[1], e1[2] + e2[2])
+            prod[key] = prod.get(key, 0) + c1 * c2
+    result: dict = {}
+    while prod:
+        lead = max(prod)
+        coeff = prod[lead]
+        assert lead[0] >= lead[1] >= lead[2], "leading monomial must be a partition"
+        result[_norm(lead)] = coeff
+        for e, c in schur_monomials(_norm(lead)).items():
+            prod[e] = prod.get(e, 0) - coeff * c
+        prod = {k: v for k, v in prod.items() if v}
+    return result
+
+
+def g36_schur_product(lam, mu):
+    """sigma_lam * sigma_mu in A*(G(3,6)): the Schur product truncated to the 3x3 box."""
+    return {nu: c for nu, c in schur_product(lam, mu).items() if not nu or nu[0] <= 3}

@@ -23,19 +23,6 @@ def test_batch_rank_matches_pure_rank(p):
         assert pure_rank(rows, field) == got[i]
 
 
-def test_batch_rank_stop_rank_semantics():
-    p = 5
-    rng = np.random.default_rng(0)
-    mats = rng.integers(0, p, size=(100, 6, 8))
-    full = batched.batch_rank(mats, p)
-    stopped = batched.batch_rank(mats, p, stop_rank=3)
-    for f, s in zip(full, stopped):
-        if f < 3:
-            assert s == f
-        else:
-            assert s >= 3
-
-
 def test_batch_rank_cap_on_prime():
     with pytest.raises(ValueError):
         batched.batch_rank(np.zeros((1, 2, 2), dtype=np.int64), 191)

@@ -10,7 +10,7 @@ from lagstrata.exterior import MultiVector
 from lagstrata.fields import QQ, GF
 from lagstrata.linalg import mat_eq, mat_mul, rank
 from lagstrata.strata import stratum
-from lagstrata.chart import (chart_frame, chart_subspace, chart_point_of,
+from lagstrata.chart import (chart_frame, chart_subspace,
                              chart_quadric, graph_matrix_of_tangent,
                              chart_kernel_coords,
                              linear_part_matrices, kernel_restriction_rank,
@@ -18,7 +18,7 @@ from lagstrata.chart import (chart_frame, chart_subspace, chart_point_of,
                              ChartPreconditionError)
 from lagstrata.lagrangian import (NotTransverseError, lagrangian_from_graph,
                                   is_decomposable, random_subspace)
-from references import local_equations, vanishing_order
+from references import chart_point_of, local_equations, vanishing_order
 
 F101 = GF(101)
 

@@ -11,7 +11,7 @@ import lagstrata
 from lagstrata.fields import GF
 from lagstrata.exterior import MultiVector, wedge, wedge_coefficient, contract
 from lagstrata.linalg import LinearSubspace, right_nullspace, intersect, rank
-from lagstrata.lagrangian import is_lagrangian, f_space, intersection_dim
+from lagstrata.lagrangian import f_space, intersection_dim
 from lagstrata.strata import delta_witnesses, stratum
 from lagstrata import dualk3
 from lagstrata.dualk3 import (build_special_a, sample_s_a_point, phi,
@@ -19,7 +19,7 @@ from lagstrata.dualk3 import (build_special_a, sample_s_a_point, phi,
                               newsystem_dimension, residual_triple,
                               verify_surface_point, v0_wedge_coords,
                               DegenerateConfiguration, RetryBudgetError, SUBV, IDXV)
-from references import q_star_by_solve
+from references import is_lagrangian, q_star_by_solve
 
 IDX2V = IDXV[2]
 

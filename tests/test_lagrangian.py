@@ -5,12 +5,13 @@ import pytest
 from lagstrata.fields import QQ, GF
 from lagstrata.exterior import MultiVector, wedge
 from lagstrata.linalg import LinearSubspace, rank, mat_eq, transpose, right_nullspace
-from lagstrata.lagrangian import (tangent_space, f_space, is_lagrangian,
+from lagstrata.lagrangian import (tangent_space, f_space,
                                   lagrangian_from_graph, graph_of, standard_frame,
                                   random_graph_lagrangian, random_symmetric,
                                   random_subspace, is_decomposable,
                                   intersection_dim, NotTransverseError,
                                   wedge_matrix_with_vectors)
+from references import is_lagrangian
 
 F101 = GF(101)
 

@@ -1,8 +1,10 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 
+from lagstrata import batched
 from lagstrata.fields import QQ, GF
 from lagstrata.exterior import MultiVector, wedge
 from lagstrata.linalg import LinearSubspace, mat_mul
@@ -12,7 +14,7 @@ from lagstrata.lagrangian import (tangent_space, f_space, random_graph_lagrangia
                                   LagrangianSubspace)
 from lagstrata.strata import (stratum, census, sigma_probe,
                               delta_witnesses, gamma_witnesses, sample_lg1,
-                              BudgetExceededError)
+                              BudgetExceededError, _rows_array)
 from references import census_brute
 
 
@@ -136,7 +138,6 @@ def test_gamma_witnesses_tangent_case():
 def test_gamma_witnesses_are_the_first_64_in_enumeration_order():
     # 14,197 of the 33,880 subspaces are witnesses here; blocks of 512 cut
     # the first 64 across several blocks
-    from lagstrata import batched
     field = GF(3)
     A = tangent_space(basis_subspace(field, (1, 3, 5)))
 
@@ -173,14 +174,21 @@ def test_delta_witnesses_tangent_case():
     # threshold every point of P(W) is a witness and the 7s single out U0
     field = GF(3)
     U0 = basis_subspace(field, (1, 2, 3))
-    res = delta_witnesses(tangent_space(U0))
+    A = tangent_space(U0)
+    res = delta_witnesses(A)
     assert res.found and res.exhaustive
-    assert len(res.witnesses) == (3**6 - 1) // 2
-    deep = {tuple(w["w"]) for w in res.witnesses if w["dim"] == 7}
+    points = np.concatenate([batched.build_projective_block(desc, 6, 3)
+                             for desc in batched.projective_block_descriptors(6, 3)])
+    dims = batched.f_space_dims(points, _rows_array(A) % 3, 3)
+    assert len(points) == res.trials == (3**6 - 1) // 2
+    deep = {tuple(int(x) for x in w) for w in points[dims == 7]}
     assert len(deep) == 13  # the projective plane P(U0) over F_3
     for w in deep:
         assert all(x == 0 for x in w[3:])
-    assert all(w["dim"] == 3 for w in res.witnesses if tuple(w["w"]) not in deep)
+    assert (dims[dims != 7] == 3).all()
+    # the report keeps the first 16 witnesses in enumeration order
+    assert res.witnesses == [{"w": [int(x) for x in w], "dim": int(d)}
+                             for w, d in zip(points[:16], dims[:16])]
 
 
 def test_delta_typically_empty_for_random_graphs():
@@ -248,9 +256,6 @@ def test_sample_lg1_rejection_path():
 def test_census_pipeline_against_pure_stratum_sampled():
     # spot-check the batched pipeline at the acceptance prime on real
     # enumeration blocks against the rref-based stratum
-    import numpy as np
-    from lagstrata import batched
-    from lagstrata.strata import _rows_array
     for p, seed in ((3, 1), (5, 3)):
         field = GF(p)
         A = random_graph_lagrangian(field, random.Random(seed))
@@ -271,9 +276,6 @@ def test_gram_dims_on_mixed_pivot_patterns():
     # batches mixing many pivot patterns: reduced rows from random_subspace,
     # then the same subspaces with rows scaled and lower rows added to upper
     # ones (still row-echelon, no longer reduced)
-    import numpy as np
-    from lagstrata import batched
-    from lagstrata.strata import _rows_array
     for p, seed in ((3, 4), (5, 6), (7, 8)):
         field = GF(p)
         rng = random.Random(seed)
@@ -307,9 +309,6 @@ def test_gram_dims_on_mixed_pivot_patterns():
     [[1, 0, 0, 0, 0, 0], [0, 3, 0, 0, 0, 0], [0, 0, 1, 0, 0, 0]],   # zero row mod 3
 ])
 def test_gram_dims_reject_non_echelon_input(rows):
-    import numpy as np
-    from lagstrata import batched
-    from lagstrata.strata import _rows_array
     p = 3
     A = random_graph_lagrangian(GF(p), random.Random(1))
     D = batched.tangent_gram_blocks(_rows_array(A) % p, p)

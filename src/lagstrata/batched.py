@@ -249,21 +249,6 @@ def check_chunk(chunk: int) -> None:
         raise ValueError(f"blocks need chunk >= 1, not {chunk}")
 
 
-def grassmann_block_descriptors(p: int, chunk: int = 32768, n: int = 6, k: int = 3):
-    """Disjoint block descriptors covering every echelon representative once."""
-    check_chunk(chunk)
-    out = []
-    for pattern in pivot_patterns(n, k):
-        slots = free_slots(pattern, n)
-        total = p ** len(slots)
-        start = 0
-        while start < total:
-            count = min(chunk, total - start)
-            out.append((pattern, tuple(slots), start, count))
-            start += count
-    return out
-
-
 def echelon_rows(pattern, slots, codes, p: int) -> np.ndarray:
     """The echelon bases (N, 3, 6) int64 of the given codes of one pivot
     pattern: pivot entries 1, and the t-th free slot holds base-p digit t

@@ -60,7 +60,7 @@ def chart_frame(field) -> LagrangianFrame:
         return rows
 
     return LagrangianFrame(field, adapted((1, 2, 3), (4, 5, 6)),
-                           adapted((4, 5, 6), (1, 2, 3)), check=False)
+                           adapted((4, 5, 6), (1, 2, 3)))
 
 
 def chart_subspace(field, B) -> LinearSubspace:

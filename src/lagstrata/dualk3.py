@@ -18,13 +18,17 @@ ints mod p, indexed by the lexicographic subsets ``SUBV[g]``, through one
 cached list of structure constants per grade pair, ``_signs(g, h)``, read
 from ``exterior.merge_table``: the wedge, the 2V x 3V pairing, the vol5
 forms, and the five Pluecker quadrics of wedge^3 V with their polars all
-come from it.  Only the computations on W (decomposability, F-spaces,
-strata and the wedges of the adapted system) build ``MultiVector`` values.
-Every other linear combination and quadric evaluation (the conic
-parametrization, the extra quadric and its restriction to a curve, the
-points of a pencil) is one ``linalg.mat_mul``, which sums through the
-field's ``dot``; K-perp coordinates are read at the pivot columns of its
-echelon basis (``LinearSubspace.coordinates_of``).
+come from it.  Questions about wedge^3 V stay on V: a trivector beta is
+decomposable exactly when v -> v ^ beta has a 3-dimensional kernel on V
+(``_witness``), and that kernel is its witness.  W = V + <v0> enters only
+where A does (F_[v0], the pair images, the strata), and ``MultiVector``
+values are built only for F_[phi] and the strata; the adapted system pairs
+its generators with T_U through ``exterior.eta_gram``.  Every other linear
+combination and quadric evaluation (the conic parametrization, the extra
+quadric and its restriction to a curve, the points of a pencil) is one
+``linalg.mat_mul``, which sums through the field's ``dot``; K-perp
+coordinates are read at the pivot columns of its echelon basis
+(``LinearSubspace.coordinates_of``).
 """
 
 from __future__ import annotations
@@ -37,14 +41,13 @@ from itertools import combinations
 import numpy as np
 
 from .fields import PrimeField
-from .exterior import MultiVector, wedge, wedge_coefficient, merge_table, INDEX, TOP
+from .exterior import MultiVector, merge_table, eta_gram, INDEX
 from .linalg import (LinearSubspace, rref, rank, right_nullspace, solve, mat_mul,
                      transpose, identity, symmetric_with_kernel, intersect)
 from .lagrangian import (LagrangianFrame, LagrangianSubspace,
-                         lagrangian_from_graph, f_space,
-                         is_decomposable, intersection_dim)
+                         lagrangian_from_graph, f_space, tangent_space,
+                         intersection_dim)
 from .strata import stratum
-from .unipoly import PolyRing
 from . import batched
 
 SUBV = {g: tuple(combinations(range(1, 6), g)) for g in range(6)}   # basis of wedge^g V
@@ -106,6 +109,18 @@ def _quadrics(x, y, p):
     for i, k, b, sign in _plucker_terms():
         out[i] += sign * x[k] * y[b]
     return [c % p for c in out]
+
+
+def _witness(f, beta):
+    """The 3-space U of V with wedge^3 U = <beta>, or None when the nonzero
+    trivector beta is not decomposable: the kernel of v -> v ^ beta on V,
+    which is 3-dimensional exactly on the decomposable cone.  On W the kernel
+    is the same, since v0 ^ beta lies outside wedge^4 V."""
+    rows = [_wedge(e, beta, 1, 3, f.p) for e in identity(5, f)]
+    ker = right_nullspace(transpose(rows), f)
+    if len(ker) != 3:
+        return None
+    return LinearSubspace.from_vectors(f, 5, ker)
 
 
 def _normalize(f, coords):
@@ -192,7 +207,7 @@ def special_frame(field) -> LagrangianFrame:
                                   for t in range(10)]) for i in range(10)]
     li = [w3_embed(field, [field.one if t == i else field.zero
                            for t in range(10)]) for i in range(10)]
-    return LagrangianFrame(field, l0, li, check=False)
+    return LagrangianFrame(field, l0, li)
 
 
 def decomposable_in_plane(field, rows, rng=None):
@@ -280,8 +295,9 @@ def build_special_a(p: int = 101, seed: int = 0,
         data = SpecialLagrangianData(p=p, field=field, K=Kc, frame=frame, M=M,
                                      ytil=ytil, A=A, kperp=kperp,
                                      alpha_basis=alpha_basis, gram_star=gram)
-        # the defining intersection: A meets F_[v0] exactly in v0 ^ K
-        fv0 = f_space(MultiVector.basis(field, (6,)))
+        # the defining intersection: A meets F_[v0] = v0 ^ wedge^2 V, the
+        # span of the frame's first half, exactly in v0 ^ K
+        fv0 = LinearSubspace.from_vectors(field, 20, frame.l0_rows)
         inter = intersect(A, fv0)
         want = LinearSubspace.from_vectors(
             field, 20, [v0_wedge_coords(field, list(r)) for r in Kc.rows])
@@ -408,15 +424,9 @@ def _finish_point(data: SpecialLagrangianData, coords) -> SurfacePoint | None:
     coords = _normalize(f, coords)
     if coords is None:
         return None
-    ok, witness_w = is_decomposable(MultiVector.from_vector(f, 3, w3_embed(f, coords)))
-    if not ok:
+    witness = _witness(f, coords)
+    if witness is None:
         return None
-    wit_rows = []
-    for r in witness_w.rows:
-        if not f.is_zero(r[5]):
-            return None
-        wit_rows.append(list(r[:5]))
-    witness = LinearSubspace.from_vectors(f, 5, wit_rows)
     try:
         kc = data.kperp_coords_of(coords)
     except ValueError:
@@ -455,8 +465,7 @@ def phi(data: SpecialLagrangianData, p1: SurfacePoint, p2: SurfacePoint):
     mid = [f.add(x, y) for x, y in zip(b1, b2)]
     if not any(mid):
         raise DegenerateConfiguration("pair endpoints are opposite")
-    ok, _ = is_decomposable(MultiVector.from_vector(f, 3, w3_embed(f, mid)))
-    if ok:
+    if _witness(f, mid) is not None:
         raise DegenerateConfiguration("the connecting line lies on the Grassmannian")
     inv2 = f.inv(f.from_int(2))
     coords_w = [f.mul(inv2, f.add(x, y))
@@ -567,16 +576,16 @@ def _adapt_basis(data: SpecialLagrangianData, p1: SurfacePoint, p2: SurfacePoint
     raise DegenerateConfiguration("could not adapt a basis to the triple")
 
 
-def newsystem_dimension(data: SpecialLagrangianData, p1: SurfacePoint,
-                        p2: SurfacePoint, p3: SurfacePoint, rng):
-    """Assemble the 18-equation linear system of an adapted triple.
+def _adapted_system(data: SpecialLagrangianData, p1: SurfacePoint,
+                    p2: SurfacePoint, p3: SurfacePoint, rng):
+    """The adapted system of a triple and what it is built from.
 
-    Unknowns are the six coefficients expressing an element of A through
-    the three lifted points and v0 ^ K; the equations say the element lies
-    in the tangent space at the triple image.  Returns the rank (4 for a
-    generic triple), the solution dimension (2), the comparison with the
-    stratum of the image, and the certificate that no nonzero solution has
-    vanishing point-coefficients.
+    Returns (rows, phis, gens, constants): the normal-form pair images
+    phis = (phi12, phi13, phi23), the six generators gens of A (the three
+    lifted points, then v0 ^ K), the pair constants (c12, c13, c23), and
+    the rows eta(t, g) for the ten basis vectors t of T_U, U = span(phis),
+    one column per generator g.  The 18 rows vol(g ^ phi_a ^ phi_b ^ e_m)
+    span the same space, since the trivectors phi_a ^ phi_b ^ e_m span T_U.
     """
     f, p = data.field, data.p
     (v1, v2, v3, v4, v5), betas = _adapt_basis(data, p1, p2, p3, rng)
@@ -597,7 +606,6 @@ def newsystem_dimension(data: SpecialLagrangianData, p1: SurfacePoint,
     for rep, (qa, qb) in ((phi12, (p1, p2)), (phi13, (p1, p3)), (phi23, (p2, p3))):
         if list(phi(data, qa, qb)) != _normalize(f, rep):
             raise AssertionError("normal-form pair image differs from the intrinsic one")
-    phimv = [MultiVector.from_vector(f, 1, v) for v in (phi12, phi13, phi23)]
     gens = []
     for bc, ac in zip(betas, alphas):
         g = [f.add(a, b) for a, b in zip(w3_embed(f, bc), v0_wedge_coords(f, ac))]
@@ -610,27 +618,36 @@ def newsystem_dimension(data: SpecialLagrangianData, p1: SurfacePoint,
     if rank(gens, f) != 6:
         # solutions then inject into A ∩ T at the triple image
         raise AssertionError("system generators are not independent inside A")
-    genmv = [MultiVector.from_vector(f, 3, g) for g in gens]
-    rows = []
-    for (a, b) in ((0, 1), (0, 2), (1, 2)):
-        pair_wedge = wedge(phimv[a], phimv[b])
-        fives = [wedge(g, pair_wedge) for g in genmv]
-        for m in range(1, 7):
-            em = MultiVector.basis(f, (m,))
-            rows.append([wedge_coefficient(x, em, TOP) for x in fives])
+    U = LinearSubspace.from_vectors(f, 6, [phi12, phi13, phi23])
+    rows = mat_mul(mat_mul(tangent_space(U).rows, eta_gram(f), f), transpose(gens), f)
+    return rows, (phi12, phi13, phi23), gens, (c12, c13, c23)
+
+
+def newsystem_dimension(data: SpecialLagrangianData, p1: SurfacePoint,
+                        p2: SurfacePoint, p3: SurfacePoint, rng):
+    """Assemble the linear system of an adapted triple.
+
+    Unknowns are the six coefficients expressing an element of A through
+    the three lifted points and v0 ^ K; the equations say the element lies
+    in the tangent space T_U at the triple image U = <phi12, phi13, phi23>;
+    as T_U is Lagrangian, that is eta(t, .) = 0 for every t in T_U.  Returns
+    the rank (4 for a generic triple), the solution dimension (2), the
+    comparison with the stratum of the image, and the certificate that no
+    nonzero solution has vanishing point-coefficients.
+    """
+    f = data.field
+    rows, phis, _, constants = _adapted_system(data, p1, p2, p3, rng)
     rnk = rank(rows, f)
     sols = right_nullspace(rows, f)
     # the x = 0 slice must be trivial
     rows_x0 = [r[3:] for r in rows]
     x0_kernel = right_nullspace(rows_x0, f)
-    span_phi = LinearSubspace.from_vectors(f, 6, [phi12, phi13, phi23])
-    strat = stratum(data.A, span_phi) if span_phi.dim == 3 else None
     return {
         "rank": rnk,
         "solution_dim": len(sols),
         "x_zero_solutions": len(x0_kernel),
-        "stratum": strat,
-        "constants": (c12, c13, c23),
+        "stratum": stratum(data.A, LinearSubspace.from_vectors(f, 6, list(phis))),
+        "constants": constants,
     }
 
 
@@ -668,29 +685,13 @@ def _curve_points(data: SpecialLagrangianData, Uprime: LinearSubspace):
     return sorted(set(points))
 
 
-def _binary_deflate(ring: PolyRing, form, s0, t0):
-    """Divide a binary form (coefficients by s-degree) by (t0 s - s0 t)."""
-    f = ring.field
-    n = len(form) - 1
-    if f.is_zero(t0):
-        # root at infinity: form must have zero leading coefficient
-        if not f.is_zero(form[-1]):
-            raise ValueError("infinity is not a root")
-        return tuple(form[:-1])
-    # write form(s) with t = 1 and divide by (t0 s - s0)
-    q, r = ring.divmod_exact(tuple(form), (f.neg(s0), t0))
-    if r:
-        raise ValueError("claimed root does not divide the form")
-    return tuple(q) + (f.zero,) * (n - len(q)) if len(q) < n else tuple(q)
-
-
 def residual_triple(data: SpecialLagrangianData, p1: SurfacePoint,
                     p2: SurfacePoint, p3: SurfacePoint, rng):
     """The second triple with the same image: the residual three points of
     the surface on the twisted cubic through the given triple.
 
-    Returns (gammas, info) when the residual cubic splits over F_p, or None
-    as a retry signal.
+    Returns (gammas, info) when the residual cubic splits over F_p into
+    three simple roots apart from the triple's, or None as a retry signal.
     """
     f = data.field
     p = data.p
@@ -723,16 +724,12 @@ def residual_triple(data: SpecialLagrangianData, p1: SurfacePoint,
 
     data_pts = [(tuple(t), pt) for pt, t in zip(points, mat_mul(points, ells, f))
                 if pt not in (betas[0], betas[1]) and any(t)]
-    seen = set()
-    fit_pts = []
+    fit_pts = {}      # the first point of each distinct parameter, at most 8
     for t, pt in data_pts:
-        key = _proj_param(f, t)
-        if key in seen:
-            continue
-        seen.add(key)
-        fit_pts.append((t, pt))
+        fit_pts.setdefault(tuple(_normalize(f, t)), (t, pt))
         if len(fit_pts) == 8:
             break
+    fit_pts = list(fit_pts.values())
     if len(fit_pts) < 6:
         raise DegenerateConfiguration("not enough distinct parameters on the curve")
     # fit omega(s,t) = sum_d W_d s^d t^(3-d) in K-perp coordinates
@@ -762,45 +759,37 @@ def residual_triple(data: SpecialLagrangianData, p1: SurfacePoint,
 
     # locate the parameters of all three triple points by scanning P^1
     param_points = [(f.from_int(s), f.one) for s in range(p)] + [(f.one, f.zero)]
-    where = {}
-    for st, coords in zip(param_points, omega_at(param_points)):
-        if any(coords):
-            where[_proj_param(f, st)] = tuple(_normalize(f, coords))
-    param_by_key = {_proj_param(f, pt): pt for pt in param_points}
+    images = [_normalize(f, coords) for coords in omega_at(param_points)]
     beta_params = []
     for b in betas:
-        found = [k for k, v in where.items() if v == b]
+        found = [st for st, image in zip(param_points, images) if image == list(b)]
         if len(found) != 1:
             raise DegenerateConfiguration("triple point not uniquely parametrized")
-        beta_params.append(param_by_key[found[0]])
+        beta_params.append(found[0])
     # the restriction of the extra quadric: a binary sextic
-    sext = data.q_star_on(W)
-    if not set(beta_params) <= set(_binary_roots(sext, p)):
-        raise AssertionError("triple parameter is not a root of the sextic")
-    ring = PolyRing(f)
-    residual = tuple(sext)
-    for s0, t0 in beta_params:
-        residual = _binary_deflate(ring, residual, s0, t0)
-    roots = _binary_roots(residual, p)
-    if len(roots) != 3:
-        return None  # residual cubic does not split into distinct roots
-    keys = [_proj_param(f, r) for r in roots]
-    beta_keys = [_proj_param(f, bp) for bp in beta_params]
-    if len(set(keys)) != 3 or set(keys) & set(beta_keys):
+    residual = _residual_roots(data.q_star_on(W), beta_params, p)
+    if residual is None:
         return None
     gammas = []
-    for coords in omega_at(roots):
+    for coords in omega_at(residual):
         pt = _finish_point(data, coords)
         if pt is None:
             return None
         gammas.append(pt)
-    info = {
-        "beta_params": beta_keys,
-        "gamma_params": keys,
-        "curve_points": len(points),
-        "sextic": [f.to_str(c) for c in sext],
-    }
-    return gammas, info
+    return gammas, {"curve_points": len(points)}
+
+
+def _residual_roots(sext, beta_params, p):
+    """The roots of the binary sextic other than the triple's three, in scan
+    order, or None unless the residual cubic splits into three simple roots
+    apart from them: that is, unless the sextic is nonzero with six distinct
+    roots on P^1(F_p)."""
+    roots = _binary_roots(sext, p)
+    if not set(beta_params) <= set(roots):
+        raise AssertionError("triple parameter is not a root of the sextic")
+    if len(roots) != 6 or not any(sext):
+        return None
+    return [r for r in roots if r not in beta_params]
 
 
 def _monomials(f, s0, t0):
@@ -821,10 +810,3 @@ def _binary_roots(form, p):
     if form[-1] % p == 0:
         roots.append((1, 0))
     return roots
-
-
-def _proj_param(f, t):
-    s0, t0 = t
-    if not f.is_zero(t0):
-        return ("a", f.to_str(f.div(s0, t0)))
-    return ("inf",)

@@ -167,29 +167,6 @@ def wedge(a: MultiVector, b: MultiVector) -> MultiVector:
     return MultiVector._trusted(f, g, coords)
 
 
-def wedge_coefficient(a: MultiVector, b: MultiVector, M):
-    """Coefficient of e_M in a ^ b, summing only the terms that merge to M."""
-    check_same_field(a.field, b.field)
-    if a.grade + b.grade > DIM_W:
-        raise GradeError(f"wedge grade {a.grade + b.grade} exceeds {DIM_W}")
-    f = a.field
-    M = tuple(sorted(M))
-    s = f.zero
-    if len(M) != a.grade + b.grade:
-        return s
-    table = merge_table(a.grade, b.grade)
-    bc = b.coords
-    for I, ca in a.coords.items():
-        for J, (sign, merged) in table[I].items():
-            if merged == M:
-                cb = bc.get(J)
-                if cb is not None:
-                    t = f.mul(ca, cb)
-                    s = f.add(s, t) if sign > 0 else f.sub(s, t)
-                break
-    return s
-
-
 def contract(covector, a: MultiVector) -> MultiVector:
     """Interior product against a covector (length-6 coefficient list).
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 from itertools import combinations
 
 from .fields import check_same_field
-from .exterior import DIM_W, SUBSETS, MultiVector, wedge, eta, eta_gram
+from .exterior import DIM_W, SUBSETS, MultiVector, wedge, eta_gram
 from .linalg import (LinearSubspace, rank, right_nullspace, mat_mul, identity,
                      mat_inverse, transpose, is_symmetric)
 
@@ -32,22 +32,11 @@ class LagrangianSubspace(LinearSubspace):
     __slots__ = ()
 
     @classmethod
-    def from_subspace(cls, S: LinearSubspace, check: bool = True):
+    def from_subspace(cls, S: LinearSubspace):
+        """Wrap a rank-10 subspace its caller knows to be Lagrangian."""
         if S.ambient != TRI_DIM or S.dim != LAG_DIM:
             raise NotLagrangianError(f"expected rank {LAG_DIM} in dim {TRI_DIM}")
-        L = cls(S.field, S.ambient, S.rows)
-        if check and not is_lagrangian_rows(S.rows, S.field):
-            raise NotLagrangianError("eta does not vanish on the subspace")
-        return L
-
-
-def is_lagrangian_rows(rows, field) -> bool:
-    mvs = [MultiVector.from_vector(field, 3, list(r)) for r in rows]
-    for i in range(len(mvs)):
-        for j in range(i + 1, len(mvs)):
-            if not field.is_zero(eta(mvs[i], mvs[j])):
-                return False
-    return True
+        return cls(S.field, S.ambient, S.rows)
 
 
 def tangent_space(U: LinearSubspace) -> LagrangianSubspace:
@@ -62,7 +51,7 @@ def tangent_space(U: LinearSubspace) -> LagrangianSubspace:
         for k in range(1, DIM_W + 1):
             spanning.append(wedge(b, MultiVector.basis(field, (k,))).to_vector())
     S = LinearSubspace.from_vectors(field, TRI_DIM, spanning)
-    return LagrangianSubspace.from_subspace(S, check=False)
+    return LagrangianSubspace.from_subspace(S)
 
 
 def f_space(w: MultiVector) -> LagrangianSubspace:
@@ -74,13 +63,14 @@ def f_space(w: MultiVector) -> LagrangianSubspace:
     for pair in SUBSETS[2]:
         spanning.append(wedge(w, MultiVector.basis(field, pair)).to_vector())
     S = LinearSubspace.from_vectors(field, TRI_DIM, spanning)
-    return LagrangianSubspace.from_subspace(S, check=False)
+    return LagrangianSubspace.from_subspace(S)
 
 
 class LagrangianFrame:
     """Transverse Lagrangian pair (L0, Linf) with fixed ordered bases.
 
-    eta identifies Linf with the dual of L0; symmetric 10x10 matrices over
+    The halves are taken as given (both Lagrangian, together spanning the
+    trivectors).  eta identifies Linf with the dual of L0; symmetric 10x10 matrices over
     that identification correspond to Lagrangian graphs transverse to Linf.
     The matrix convention is M[i][j] = eta(a_j, y_i) for graph rows
     a_i + y_i over the L0 basis (a_i).
@@ -89,16 +79,10 @@ class LagrangianFrame:
     __slots__ = ("field", "l0_rows", "linf_rows", "_pairing", "_pairing_ti",
                  "_stack_inv")
 
-    def __init__(self, field, l0_rows, linf_rows, check: bool = True):
+    def __init__(self, field, l0_rows, linf_rows):
         self.field = field
         self.l0_rows = [list(r) for r in l0_rows]
         self.linf_rows = [list(r) for r in linf_rows]
-        if check:
-            if not (is_lagrangian_rows(self.l0_rows, field)
-                    and is_lagrangian_rows(self.linf_rows, field)):
-                raise NotLagrangianError("frame halves must be Lagrangian")
-            if rank(self.l0_rows + self.linf_rows, field) != TRI_DIM:
-                raise NotTransverseError("frame halves must be transverse")
         self._pairing = None
         self._pairing_ti = None
         self._stack_inv = None
@@ -135,7 +119,7 @@ def lagrangian_from_graph(frame: LagrangianFrame, M) -> LagrangianSubspace:
     rows = mat_mul([e + y for e, y in zip(identity(LAG_DIM, field), ytil)],
                    frame.l0_rows + frame.linf_rows, field)
     S = LinearSubspace.from_vectors(field, TRI_DIM, rows)
-    return LagrangianSubspace.from_subspace(S, check=False)
+    return LagrangianSubspace.from_subspace(S)
 
 
 def graph_of(frame: LagrangianFrame, L: LinearSubspace):
@@ -169,8 +153,7 @@ def standard_frame(field) -> LagrangianFrame:
                                       for i in range(3)])
     T0 = tangent_space(U0)
     Ti = tangent_space(Ui)
-    return LagrangianFrame(field, [list(r) for r in T0.rows], [list(r) for r in Ti.rows],
-                           check=False)
+    return LagrangianFrame(field, [list(r) for r in T0.rows], [list(r) for r in Ti.rows])
 
 
 def wedge_matrix_with_vectors(omega: MultiVector):

@@ -34,6 +34,8 @@ class BudgetExceededError(RuntimeError):
 SCAN_MAX_PRIME = 7      # at p = 11 one scan covers 2,617,126,920 subspaces: hours
 SIGMA_EXHAUSTIVE_MAX_PRIME = 5
 DELTA_MAX_PRIME = 13
+DELTA_CHUNK = 4096      # points per delta block: each builds (150, n) products and a
+                        # (10, 15, n) rank batch, so larger blocks cost time and memory
 REPORTED_WITNESSES = 16  # a probe's JSON lists its first 16 witnesses
 
 
@@ -170,7 +172,7 @@ def gamma_witnesses(A: LagrangianSubspace, chunk: int = 32768, threads: int = 2)
     return _gamma(A, *_census_scan(A, chunk, threads))
 
 
-def delta_witnesses(A: LagrangianSubspace, chunk: int = 65536) -> DivisorProbeResult:
+def delta_witnesses(A: LagrangianSubspace) -> DivisorProbeResult:
     """Exhaustive scan of P(W) for [w] with dim(A ∩ F_[w]) >= 3; keeps the
     first witnesses in enumeration order, as many as the report lists."""
     p = _require_prime_field(A)
@@ -179,7 +181,7 @@ def delta_witnesses(A: LagrangianSubspace, chunk: int = 65536) -> DivisorProbeRe
     AM = _rows_array(A) % p
     witnesses = []
     total = 0
-    for desc in batched.projective_block_descriptors(6, p, chunk=chunk):
+    for desc in batched.projective_block_descriptors(6, p, chunk=DELTA_CHUNK):
         vecs = batched.build_projective_block(desc, 6, p)
         dims = batched.f_space_dims(vecs, AM, p)
         total += vecs.shape[0]

@@ -105,20 +105,3 @@ class PolyRing:
     def mul_trunc(self, f, g, k):
         return self.truncate(self.mul(f, g), k)
 
-    def divmod_exact(self, f, g):
-        """Quotient and remainder of f by g (g != 0)."""
-        F = self.field
-        if not g:
-            raise ZeroDivisionError("polynomial division by zero")
-        r = list(f)
-        q = [F.zero] * max(0, len(f) - len(g) + 1)
-        dg = len(g) - 1
-        lead_inv = F.inv(g[-1])
-        for i in range(len(r) - 1, dg - 1, -1):
-            if F.is_zero(r[i]):
-                continue
-            c = F.mul(r[i], lead_inv)
-            q[i - dg] = c
-            for j in range(len(g)):
-                r[i - dg + j] = F.sub(r[i - dg + j], F.mul(c, g[j]))
-        return _trim(q, F), _trim(r, F)

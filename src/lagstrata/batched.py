@@ -220,19 +220,15 @@ def intersection_dims_for_batch(mats: np.ndarray, D: np.ndarray, p: int) -> np.n
     return dims
 
 
-def pivot_patterns(n: int = 6, k: int = 3):
-    return list(combinations(range(n), k))
+def pivot_patterns():
+    """The pivot columns of the reduced-echelon 3x6 representatives."""
+    return list(combinations(range(6), 3))
 
 
-def free_slots(pattern, n: int = 6):
-    """Free (row, col) slots of the reduced-echelon representatives."""
-    slots = []
-    pset = set(pattern)
-    for i, pc in enumerate(pattern):
-        for c in range(pc + 1, n):
-            if c not in pset:
-                slots.append((i, c))
-    return slots
+def free_slots(pattern):
+    """Free (row, col) slots of the reduced-echelon 3x6 representatives."""
+    return [(i, c) for i, pc in enumerate(pattern)
+            for c in range(pc + 1, 6) if c not in pattern]
 
 
 def grassmann_size(n: int, k: int, p: int) -> int:

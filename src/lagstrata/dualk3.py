@@ -29,6 +29,15 @@ quadric and its restriction to a curve, the points of a pencil) is one
 ``linalg.mat_mul``, which sums through the field's ``dot``; K-perp
 coordinates are read at the pivot columns of its echelon basis
 (``LinearSubspace.coordinates_of``).
+
+The scan of the twisted cubic through a triple (``_curve_points``) runs in
+numpy.  The 3x5 condition matrices of all p^2 + p + 1 points lambda of
+P^2(F_p) come from one float32 product whose entries are sums of 3 reduced
+products, below 3 (p - 1)^2 (``batched.check_exact(p, terms=3)``), and
+their ranks from one ``batch_rank``.  The plane of pi(lambda) lies in
+the kernel of its condition matrix, so at rank 2 the curve point spans
+wedge^3 of the kernel: _dual(r_a ^ r_b, 2) for any two independent rows,
+normalized in numpy with no kernel computed.
 """
 
 from __future__ import annotations
@@ -580,12 +589,13 @@ def _adapted_system(data: SpecialLagrangianData, p1: SurfacePoint,
                     p2: SurfacePoint, p3: SurfacePoint, rng):
     """The adapted system of a triple and what it is built from.
 
-    Returns (rows, phis, gens, constants): the normal-form pair images
+    Returns (rows, phis, gens, constants, T): the normal-form pair images
     phis = (phi12, phi13, phi23), the six generators gens of A (the three
-    lifted points, then v0 ^ K), the pair constants (c12, c13, c23), and
-    the rows eta(t, g) for the ten basis vectors t of T_U, U = span(phis),
-    one column per generator g.  The 18 rows vol(g ^ phi_a ^ phi_b ^ e_m)
-    span the same space, since the trivectors phi_a ^ phi_b ^ e_m span T_U.
+    lifted points, then v0 ^ K), the pair constants (c12, c13, c23), the
+    tangent space T = T_U at U = span(phis), and the rows eta(t, g) for the
+    ten basis vectors t of T, one column per generator g.  The 18 rows
+    vol(g ^ phi_a ^ phi_b ^ e_m) span the same space, since the trivectors
+    phi_a ^ phi_b ^ e_m span T_U.
     """
     f, p = data.field, data.p
     (v1, v2, v3, v4, v5), betas = _adapt_basis(data, p1, p2, p3, rng)
@@ -618,9 +628,9 @@ def _adapted_system(data: SpecialLagrangianData, p1: SurfacePoint,
     if rank(gens, f) != 6:
         # solutions then inject into A ∩ T at the triple image
         raise AssertionError("system generators are not independent inside A")
-    U = LinearSubspace.from_vectors(f, 6, [phi12, phi13, phi23])
-    rows = mat_mul(mat_mul(tangent_space(U).rows, eta_gram(f), f), transpose(gens), f)
-    return rows, (phi12, phi13, phi23), gens, (c12, c13, c23)
+    T = tangent_space(LinearSubspace.from_vectors(f, 6, [phi12, phi13, phi23]))
+    rows = mat_mul(mat_mul(T.rows, eta_gram(f), f), transpose(gens), f)
+    return rows, (phi12, phi13, phi23), gens, (c12, c13, c23), T
 
 
 def newsystem_dimension(data: SpecialLagrangianData, p1: SurfacePoint,
@@ -636,7 +646,7 @@ def newsystem_dimension(data: SpecialLagrangianData, p1: SurfacePoint,
     nonzero solution has vanishing point-coefficients.
     """
     f = data.field
-    rows, phis, _, constants = _adapted_system(data, p1, p2, p3, rng)
+    rows, _, _, constants, T = _adapted_system(data, p1, p2, p3, rng)
     rnk = rank(rows, f)
     sols = right_nullspace(rows, f)
     # the x = 0 slice must be trivial
@@ -646,7 +656,7 @@ def newsystem_dimension(data: SpecialLagrangianData, p1: SurfacePoint,
         "rank": rnk,
         "solution_dim": len(sols),
         "x_zero_solutions": len(x0_kernel),
-        "stratum": stratum(data.A, LinearSubspace.from_vectors(f, 6, list(phis))),
+        "stratum": intersection_dim(data.A, T),
         "constants": constants,
     }
 
@@ -655,34 +665,76 @@ def newsystem_dimension(data: SpecialLagrangianData, p1: SurfacePoint,
 # residual triples on the twisted cubic
 
 
-def _curve_points(data: SpecialLagrangianData, Uprime: LinearSubspace):
-    """F_p points of the pencil-of-planes curve through U' inside P(K-perp).
+@lru_cache(maxsize=None)
+def _plane_points(p: int) -> np.ndarray:
+    """The points of P^2(F_p), lead entry 1, as a read-only (p^2 + p + 1, 3)
+    float32 table."""
+    table = np.concatenate([batched.build_projective_block(desc, 3, p)
+                            for desc in batched.projective_block_descriptors(3, p)]
+                           ).astype(np.float32)
+    table.flags.writeable = False
+    return table
 
-    Scans the plane of decomposable two-forms of U': for lambda with the
-    3x5 condition matrix of rank 2, the kernel adds a line beyond the plane
-    of pi(lambda), giving the curve point pi(lambda) ^ v.
+
+@lru_cache(maxsize=None)
+def _dual_matrix() -> np.ndarray:
+    """``_dual(., 2, p)`` as a read-only (10, 10) signed permutation matrix,
+    before mod p."""
+    D = np.zeros((10, 10), dtype=np.int64)
+    for i, j, _, sign in _signs(2, 3):
+        D[i, j] = sign
+    D.flags.writeable = False
+    return D
+
+
+def _rank2_points(mats: np.ndarray, p: int) -> np.ndarray:
+    """Normalized _dual(r_a ^ r_b, 2) for the first independent pair of rows
+    of each rank-2 3x5 matrix: the rows of an (N, 10) int64 array."""
+    r = mats.astype(np.int64)
+    i, j = (np.array(SUBV[2]) - 1).T
+    wedges = np.stack([r[:, a, i] * r[:, b, j] - r[:, a, j] * r[:, b, i]
+                       for a, b in ((0, 1), (0, 2), (1, 2))], axis=1) % p
+    first = np.argmax(wedges.any(axis=2), axis=1)
+    x = wedges[np.arange(len(r)), first] @ _dual_matrix() % p
+    lead = x[np.arange(len(r)), np.argmax(x != 0, axis=1)]
+    return x * batched.inverse_table(p).astype(np.int64)[lead][:, None] % p
+
+
+def _curve_points(data: SpecialLagrangianData, Uprime: LinearSubspace):
+    """F_p points of the pencil-of-planes curve through U' inside P(K-perp),
+    sorted, each with leading coefficient 1.
+
+    Scans the plane of decomposable two-forms pi(lambda) of U'.  The 3x5
+    condition matrices M(lambda)[j][m] = vol5(kappa_j ^ pi(lambda) ^ e_m) of
+    all of P^2(F_p) come from one float32 product, points times R, of sums of
+    3 reduced products (below 3 (p - 1)^2, bounded by ``check_exact``), and
+    their ranks from one ``batch_rank``.  The plane of pi(lambda) lies in
+    ker M(lambda); at rank 2 the kernel adds one line v, and the curve point
+    pi(lambda) ^ v spans wedge^3 ker M(lambda), which is _dual(r_a ^ r_b, 2)
+    for any two independent rows r_a, r_b of M(lambda), so no kernel is
+    computed.  At rank <= 1 the point depends on the kernel vector taken: the
+    first of ``right_nullspace`` with a nonzero wedge.
     """
     f = data.field
     p = data.p
     t0, t1, t2 = Uprime.rows
     pis = [_wedge(t1, t2, 1, 1, p), _wedge(t2, t0, 1, 1, p), _wedge(t0, t1, 1, 1, p)]
-    # rows R[j][s][m] = vol5(kappa_j ^ pi_s ^ e_m)
-    R = np.array([[_dual(_wedge(k, pi, 2, 2, p), 4, p) for pi in pis] for k in data.K.rows],
-                 dtype=np.int64)
-    lams = []
-    for desc in batched.projective_block_descriptors(3, p, chunk=1 << 14):
-        lams.append(batched.build_projective_block(desc, 3, p))
-    lams = np.concatenate(lams)
-    mats = np.einsum("ls,jsm->ljm", lams % p, R) % p
-    ranks = batched.batch_rank(mats, p)
-    points = []
-    hits = np.nonzero(ranks <= 2)[0]
-    for li, pim in zip(hits, mat_mul(lams[hits].tolist(), pis, f)):
-        omegas = (_wedge(pim, v, 2, 1, p) for v in right_nullspace(mats[li].tolist(), f))
+    # R[s][j][m] = vol5(kappa_j ^ pi_s ^ e_m)
+    R = np.array([[_dual(_wedge(k, pi, 2, 2, p), 4, p) for k in data.K.rows] for pi in pis],
+                 dtype=np.float32)
+    lams = _plane_points(p)
+    batched.check_exact(p, terms=3)
+    mats = batched.matmul_mod_f32(lams, R.reshape(3, 15), p).reshape(-1, 3, 5)
+    ranks = batched.batch_rank(mats, p, assume_reduced=True)
+    points = set(map(tuple, _rank2_points(mats[ranks == 2], p).tolist()))
+    low = np.flatnonzero(ranks < 2)
+    for li, pim in zip(low, mat_mul(lams[low].astype(np.int64).tolist(), pis, f)):
+        omegas = (_wedge(pim, v, 2, 1, p)
+                  for v in right_nullspace(mats[li].astype(np.int64).tolist(), f))
         found = next((_normalize(f, w) for w in omegas if any(w)), None)
         if found is not None:
-            points.append(tuple(found))
-    return sorted(set(points))
+            points.add(tuple(found))
+    return sorted(points)
 
 
 def residual_triple(data: SpecialLagrangianData, p1: SurfacePoint,

@@ -21,9 +21,10 @@ import numpy as np
 
 from .fields import PrimeField
 from .exterior import MultiVector
-from .linalg import LinearSubspace, rank
+from .linalg import LinearSubspace
 from .lagrangian import (LagrangianSubspace, tangent_space, is_decomposable,
-                         standard_frame, random_symmetric, lagrangian_from_graph)
+                         standard_frame, random_symmetric, lagrangian_from_graph,
+                         intersection_dim)
 from . import batched
 
 
@@ -40,10 +41,9 @@ REPORTED_WITNESSES = 16  # a probe's JSON lists its first 16 witnesses
 
 
 def stratum(A: LinearSubspace, U: LinearSubspace) -> int:
-    """k = dim(A ∩ T_U), by exact echelon on the stacked bases."""
-    T = tangent_space(U)
-    total = rank(list(A.rows) + list(T.rows), A.field)
-    return A.dim + T.dim - total
+    """k = dim(A ∩ T_U), by exact echelon on the stacked bases
+    (``lagrangian.intersection_dim``, which takes a T_U already built)."""
+    return intersection_dim(A, tangent_space(U))
 
 
 def _require_prime_field(A: LinearSubspace) -> int:

@@ -3,24 +3,27 @@
 from functools import lru_cache
 from itertools import combinations
 
+import numpy as np
+
 from lagstrata import batched
 from lagstrata.chart import (ChartPreconditionError, chart_matrix_of, chart_quadric,
                              _series_matrix, smith_valuations)
-from lagstrata.dualk3 import _binary_roots, _pairing, w3_embed
+from lagstrata.dualk3 import (_binary_roots, _dual, _normalize, _pairing, _wedge,
+                              w3_embed)
 from lagstrata.exterior import DIM_W, GradeError, MultiVector, TOP, eta, merge_table, wedge
 from lagstrata.fields import check_same_field
 from lagstrata.lagrangian import LAG_DIM, TRI_DIM, NotTransverseError, is_decomposable
-from lagstrata.linalg import LinearSubspace, solve, transpose
+from lagstrata.linalg import LinearSubspace, mat_mul, right_nullspace, solve, transpose
 from lagstrata.strata import _require_prime_field, _witness_subspace, stratum
 from lagstrata.unipoly import PolyRing
 
 
-def grassmann_block_descriptors(p: int, chunk: int = 32768, n: int = 6, k: int = 3):
+def grassmann_block_descriptors(p: int, chunk: int = 32768):
     """Disjoint block descriptors covering every echelon representative once."""
     batched.check_chunk(chunk)
     out = []
-    for pattern in batched.pivot_patterns(n, k):
-        slots = batched.free_slots(pattern, n)
+    for pattern in batched.pivot_patterns():
+        slots = batched.free_slots(pattern)
         total = p ** len(slots)
         start = 0
         while start < total:
@@ -361,3 +364,31 @@ def residual_roots_by_deflation(sext, beta_params, p):
     if len(roots) != 3 or set(roots) & set(beta_params):
         return None
     return roots
+
+
+def curve_points_by_nullspace(data, Uprime):
+    """The curve scan by the per-hit route that ``dualk3._curve_points``
+    replaced: an int64 einsum over P^2(F_p), then for each rank-<=2 point a
+    pure-Python kernel of its condition matrix and the first nonzero wedge
+    pi(lambda) ^ v, normalized."""
+    f = data.field
+    p = data.p
+    t0, t1, t2 = Uprime.rows
+    pis = [_wedge(t1, t2, 1, 1, p), _wedge(t2, t0, 1, 1, p), _wedge(t0, t1, 1, 1, p)]
+    # rows R[j][s][m] = vol5(kappa_j ^ pi_s ^ e_m)
+    R = np.array([[_dual(_wedge(k, pi, 2, 2, p), 4, p) for pi in pis] for k in data.K.rows],
+                 dtype=np.int64)
+    lams = []
+    for desc in batched.projective_block_descriptors(3, p, chunk=1 << 14):
+        lams.append(batched.build_projective_block(desc, 3, p))
+    lams = np.concatenate(lams)
+    mats = np.einsum("ls,jsm->ljm", lams % p, R) % p
+    ranks = batched.batch_rank(mats, p)
+    points = []
+    hits = np.nonzero(ranks <= 2)[0]
+    for li, pim in zip(hits, mat_mul(lams[hits].tolist(), pis, f)):
+        omegas = (_wedge(pim, v, 2, 1, p) for v in right_nullspace(mats[li].tolist(), f))
+        found = next((_normalize(f, w) for w in omegas if any(w)), None)
+        if found is not None:
+            points.append(tuple(found))
+    return sorted(set(points))

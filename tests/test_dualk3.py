@@ -3,9 +3,11 @@ import os
 import random
 import subprocess
 import sys
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import lagstrata
 from lagstrata.fields import GF
@@ -19,8 +21,9 @@ from lagstrata.dualk3 import (build_special_a, sample_s_a_point, phi,
                               newsystem_dimension, residual_triple,
                               verify_surface_point, v0_wedge_coords,
                               DegenerateConfiguration, RetryBudgetError, SUBV, IDXV)
-from references import (adapted_wedge_rows, is_lagrangian, q_star_by_solve,
-                        residual_roots_by_deflation, wedge_coefficient, witness_through_w)
+from references import (adapted_wedge_rows, curve_points_by_nullspace, is_lagrangian,
+                        q_star_by_solve, residual_roots_by_deflation, wedge_coefficient,
+                        witness_through_w)
 
 IDX2V = IDXV[2]
 
@@ -360,11 +363,12 @@ def test_sign_tables_are_not_built_at_import():
     code = ("import lagstrata.cli\n"
             "from lagstrata import dualk3\n"
             "print([t.cache_info().currsize for t in "
-            "(dualk3._signs, dualk3._plucker_terms, dualk3.sqrt_table)])")
+            "(dualk3._signs, dualk3._plucker_terms, dualk3.sqrt_table, "
+            "dualk3._plane_points, dualk3._dual_matrix)])")
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout
-    assert out.strip() == "[0, 0, 0]"
+    assert out.strip() == "[0, 0, 0, 0, 0]"
 
 
 def test_normalize_scales_the_lead_to_one_and_sends_zero_to_none():
@@ -533,7 +537,7 @@ def test_adapted_rows_match_the_wedge_rows(p, seed):
     while done < 5:
         trio = [sample_s_a_point(sp, draws) for _ in range(3)]
         try:
-            rows, phis, gens, _ = dualk3._adapted_system(sp, *trio, draws)
+            rows, phis, gens = dualk3._adapted_system(sp, *trio, draws)[:3]
         except DegenerateConfiguration:
             continue
         done += 1
@@ -542,3 +546,97 @@ def test_adapted_rows_match_the_wedge_rows(p, seed):
         for cut in (0, 3):
             assert (LinearSubspace.from_vectors(f, 6 - cut, [r[cut:] for r in rows])
                     == LinearSubspace.from_vectors(f, 6 - cut, [r[cut:] for r in ref]))
+
+
+# The numpy curve scan against the per-hit nullspace route (tests/references.py)
+
+_SPECIAL = {}
+
+
+def _special(p):
+    if p not in _SPECIAL:
+        _SPECIAL[p] = build_special_a(p=p, seed=5)
+    return _SPECIAL[p]
+
+
+def _chord_space(sp, seed):
+    """U' of a sampled triple, as ``residual_triple`` builds it, or None."""
+    draws = random.Random(seed)
+    trio = [sample_s_a_point(sp, draws) for _ in range(3)]
+    try:
+        chords = dualk3._chords(*(q.witness for q in trio))
+    except DegenerateConfiguration:
+        return None
+    Uprime = LinearSubspace.from_vectors(sp.field, 5, chords)
+    return Uprime if Uprime.dim == 3 else None
+
+
+@pytest.mark.parametrize("p, seed, size", [(7, 0, 8), (7, 5, 15), (13, 0, 14), (13, 11, 27),
+                                           (101, 0, 102), (101, 22, 203)])
+def test_curve_points_match_the_nullspace_route_on_both_curve_sizes(p, seed, size):
+    # a twisted cubic has p + 1 points; the degenerate scans have 2p + 1
+    sp = _special(p)
+    Uprime = _chord_space(sp, seed)
+    got = dualk3._curve_points(sp, Uprime)
+    assert len(got) == size
+    assert got == curve_points_by_nullspace(sp, Uprime)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from([7, 13, 101]), st.integers(0, 2**32))
+def test_curve_points_match_the_nullspace_route(p, seed):
+    sp = _special(p)
+    Uprime = _chord_space(sp, seed)
+    assume(Uprime is not None)
+    got = dualk3._curve_points(sp, Uprime)
+    assert len(got) in (p + 1, 2 * p + 1)
+    assert got == curve_points_by_nullspace(sp, Uprime)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_curve_points_match_the_nullspace_route_at_low_rank(data):
+    # K rows planted in wedge^2 U' wedge every pi(lambda) to zero, so the
+    # condition matrices drop to rank <= 1 and the per-hit fallback runs
+    p = data.draw(st.sampled_from([7, 13]))
+    field = GF(p)
+    draws = random.Random(data.draw(st.integers(0, 2**32)))
+    Uprime = LinearSubspace.from_vectors(
+        field, 5, [[draws.randrange(p) for _ in range(5)] for _ in range(3)])
+    assume(Uprime.dim == 3)
+    t0, t1, t2 = Uprime.rows
+    planted = [dualk3._wedge(a, b, 1, 1, p) for a, b in ((t1, t2), (t2, t0), (t0, t1))]
+    k = data.draw(st.integers(1, 3))
+    rows = planted[:k] + [[draws.randrange(p) for _ in range(10)] for _ in range(3 - k)]
+    sp = SimpleNamespace(field=field, p=p, K=LinearSubspace.from_vectors(field, 10, rows))
+    assume(sp.K.dim == 3)
+    assert dualk3._curve_points(sp, Uprime) == curve_points_by_nullspace(sp, Uprime)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([7, 13, 101]), st.integers(0, 2**32))
+def test_rank2_points_are_the_wedge_of_the_kernel(p, seed):
+    # M of rank 2 with kernel <b1, b2, b3>: for the planted plane <b1, b2>,
+    # (b1 ^ b2) ^ v spans wedge^3 ker M for every kernel vector v off the plane
+    field, draws = GF(p), random.Random(seed)
+    mats, wants = [], []
+    while len(mats) < 20:
+        basis = [[draws.randrange(p) for _ in range(5)] for _ in range(5)]
+        if rank(basis, field) != 5:
+            continue
+        ann = right_nullspace(basis[:3], field)
+        coeffs = [[draws.randrange(p) for _ in ann] for _ in range(3)]
+        M = [[sum(c * a[i] for c, a in zip(row, ann)) % p for i in range(5)] for row in coeffs]
+        if rank(M, field) != 2:
+            continue
+        c = [draws.randrange(p), draws.randrange(p), draws.randrange(1, p)]
+        v = [sum(ci * b[i] for ci, b in zip(c, basis[:3])) % p for i in range(5)]
+        plane = dualk3._wedge(basis[0], basis[1], 1, 1, p)
+        want = dualk3._normalize(field, dualk3._wedge(plane, v, 2, 1, p))
+        pair = next(dualk3._wedge(M[a], M[b], 1, 1, p) for a, b in ((0, 1), (0, 2), (1, 2))
+                    if any(dualk3._wedge(M[a], M[b], 1, 1, p)))
+        assert dualk3._normalize(field, dualk3._dual(pair, 2, p)) == want
+        mats.append(M)
+        wants.append(want)
+    got = dualk3._rank2_points(np.array(mats, dtype=np.float32), p)
+    assert got.tolist() == wants

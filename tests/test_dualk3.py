@@ -1,3 +1,4 @@
+import functools
 import itertools
 import os
 import random
@@ -550,13 +551,9 @@ def test_adapted_rows_match_the_wedge_rows(p, seed):
 
 # The numpy curve scan against the per-hit nullspace route (tests/references.py)
 
-_SPECIAL = {}
-
-
+@functools.lru_cache(maxsize=None)
 def _special(p):
-    if p not in _SPECIAL:
-        _SPECIAL[p] = build_special_a(p=p, seed=5)
-    return _SPECIAL[p]
+    return build_special_a(p=p, seed=5)
 
 
 def _chord_space(sp, seed):

@@ -12,14 +12,17 @@ polynomial in B with integer coefficients.
 
 Stratum loci are cut out by minors of the matrix family B -> Q(B) - Q_A;
 full 9-variable expansions of those minors are infeasible and unnecessary:
-vanishing orders along lines through B = 0 come from a Smith normal form
-over the truncated power-series ring.
+vanishing orders along lines through B = 0 are the valuations of the
+elementary divisors of Q(t*d) - Q_A over the truncated power-series ring.
+Each entry of Q is homogeneous in B, so that matrix is read by position off
+one scalar Q(d), and its valuations come from fraction-free row elimination
+on coefficient lists of ints (mod p over F_p), in the manner of Bareiss.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from math import lcm
+from math import gcd, lcm
 
 import numpy as np
 
@@ -74,31 +77,30 @@ def _idx(i: int, j: int) -> int:
     return 1 + 3 * i + j
 
 
-def chart_quadric(B, field, ring=None):
+def chart_quadric(B, field):
     """Symmetric 10x10 matrix of the quadratic form whose graph is T_{U_B}.
 
-    Works over any coefficient ring with the field-op interface, so the
-    entries may be scalars or univariate polynomials.  The matrix equals
-    graph_of(chart_frame(field), tangent_space(chart_subspace(B))) exactly.
+    The matrix equals graph_of(chart_frame(field), tangent_space(chart_subspace(B)))
+    exactly.  Entry (0, 0), -2 det B, is cubic in B, the rest of row and
+    column 0 (the cofactors) is quadratic, and every other entry is linear.
     """
-    R = ring if ring is not None else field
-    zero = R.zero
+    zero = field.zero
     S = [[zero for _ in range(10)] for _ in range(10)]
 
     def minor(M, rows, cols):
         (r1, r2), (c1, c2) = rows, cols
-        return R.sub(R.mul(M[r1][c1], M[r2][c2]), R.mul(M[r1][c2], M[r2][c1]))
+        return field.sub(field.mul(M[r1][c1], M[r2][c2]), field.mul(M[r1][c2], M[r2][c1]))
 
     def cof(M, i, j):
         rows = tuple(r for r in range(3) if r != i)
         cols = tuple(c for c in range(3) if c != j)
         m = minor(M, rows, cols)
-        return m if (i + j) % 2 == 0 else R.neg(m)
+        return m if (i + j) % 2 == 0 else field.neg(m)
 
     det = zero
     for j in range(3):
-        det = R.add(det, R.mul(B[0][j], cof(B, 0, j)))
-    S[0][0] = R.neg(R.add(det, det))
+        det = field.add(det, field.mul(B[0][j], cof(B, 0, j)))
+    S[0][0] = field.neg(field.add(det, det))
     for i in range(3):
         for j in range(3):
             c = cof(B, i, j)
@@ -107,16 +109,16 @@ def chart_quadric(B, field, ring=None):
     for i in range(3):
         for j in range(3):
             b = B[i][j]
-            if R.is_zero(b):
+            if field.is_zero(b):
                 continue
             r1, r2 = tuple(r for r in range(3) if r != i)
             c1, c2 = tuple(c for c in range(3) if c != j)
-            s_plus = R.neg(b) if (i + j) % 2 == 0 else b
-            s_minus = R.neg(s_plus)
+            s_plus = field.neg(b) if (i + j) % 2 == 0 else b
+            s_minus = field.neg(s_plus)
             for a, bb, v in ((_idx(r1, c1), _idx(r2, c2), s_plus),
                              (_idx(r1, c2), _idx(r2, c1), s_minus)):
-                S[a][bb] = R.add(S[a][bb], v)
-                S[bb][a] = R.add(S[bb][a], v)
+                S[a][bb] = field.add(S[a][bb], v)
+                S[bb][a] = field.add(S[bb][a], v)
     return S
 
 
@@ -152,62 +154,89 @@ def linear_part_matrices(field):
 
 
 def _series_matrix(A: LinearSubspace, direction):
-    """Q(t * direction) - Q_A as a matrix of polynomials in t."""
+    """Q(t * direction) - Q_A as a matrix of polynomials in t.
+
+    Returns ``(mat, ring)`` with entries in ``ring``'s coefficient tuples.
+    Q(0) = 0 and each entry of chart_quadric is homogeneous in B (cubic at
+    (0, 0), quadratic in the rest of row and column 0, linear elsewhere), so
+    entry (i, j) is -Q_A[i][j] + t^deg * Q(direction)[i][j].
+    """
     field = A.field
-    ring = PolyRing(field)
     qa = chart_matrix_of(A)
-    Bt = [[(field.zero, direction[i][j]) if not field.is_zero(direction[i][j]) else ()
-           for j in range(3)] for i in range(3)]
-    Q = chart_quadric(Bt, field, ring=ring)
-    return [[ring.sub(Q[i][j], ring.const(qa[i][j])) for j in range(10)] for i in range(10)], ring
+    q = chart_quadric(direction, field)
+    mat = []
+    for i in range(10):
+        row = []
+        for j in range(10):
+            coeffs = [field.neg(qa[i][j])] + [field.zero] * ((i == 0) + (j == 0)) + [q[i][j]]
+            while coeffs and field.is_zero(coeffs[-1]):
+                coeffs.pop()
+            row.append(tuple(coeffs))
+        mat.append(row)
+    return mat, PolyRing(field)
 
 
 def smith_valuations(mat, ring: PolyRing, cap: int):
-    """Valuations of the elementary divisors of a matrix over F[[t]], mod t^cap.
+    """Valuations of the elementary divisors of a square matrix over F[[t]], mod t^cap.
 
     Returns a sorted list with None for divisors of valuation >= cap.  The
     sum of the s smallest valuations is the minimal vanishing order among
     the s x s minors.
+
+    Fraction free: each entry of ``ring`` is read as its first ``cap``
+    coefficients, over QQ as ints after scaling each row by the lcm of its
+    denominators (a unit, so no valuation moves).  Each step takes a pivot
+    t^v*u(t), u(0) != 0, of least valuation among the live rows and columns;
+    every other live row with t^v*e(t) in the pivot column becomes
+    u*row - e*pivot_row mod t^cap, over QQ divided by the gcd of its
+    coefficients.  Both are invertible row operations over F[[t]].  The
+    pivot row and column then retire: the column steps that would clear the
+    pivot row change no other row, so they are not needed.
     """
-    field = ring.field
-    m = [[ring.truncate(e, cap) for e in row] for row in mat]
-    n = len(m)
+    p = ring.field.characteristic
+    n = len(mat)
+    m = []
+    for row in mat:
+        coeffs = [(list(e) + [0] * cap)[:cap] for e in row]
+        if p:
+            coeffs = [[x % p for x in c] for c in coeffs]
+        else:
+            d = lcm(*(x.denominator for c in coeffs for x in c))
+            coeffs = [[x.numerator * (d // x.denominator) for x in c] for c in coeffs]
+        m.append(coeffs)
+    rows, cols = list(range(n)), list(range(n))
     vals = []
-    for step in range(n):
+    while rows:
         best = None
-        for i in range(step, n):
-            for j in range(step, n):
-                v = ring.valuation(m[i][j])
+        for i in rows:
+            for j in cols:
+                v = next((k for k, x in enumerate(m[i][j]) if x), None)
                 if v is not None and (best is None or v < best[0]):
                     best = (v, i, j)
         if best is None:
-            vals.extend([None] * (n - step))
+            vals.extend([None] * len(rows))
             break
-        v, bi, bj = best
-        if bi != step:
-            m[step], m[bi] = m[bi], m[step]
-        if bj != step:
-            for row in m:
-                row[step], row[bj] = row[bj], row[step]
-        pivot = m[step][step]
-        unit = ring.shift_down(pivot, v)
-        unit_inv = ring.series_inverse(unit, cap)
-        for i in range(step + 1, n):
-            e = m[i][step]
-            ve = ring.valuation(e)
-            if ve is None:
+        v, pi, pj = best
+        rows.remove(pi)
+        cols.remove(pj)
+        prow = m[pi]
+        unit = prow[pj][v:]
+        for i in rows:
+            row = m[i]
+            e = row[pj][v:]
+            if not any(e):
                 continue
-            f = ring.mul_trunc(ring.shift_down(e, v), unit_inv, cap)
-            for j in range(step, n):
-                m[i][j] = ring.truncate(ring.sub(m[i][j], ring.mul(f, m[step][j])), cap)
-        for j in range(step + 1, n):
-            e = m[step][j]
-            ve = ring.valuation(e)
-            if ve is None:
-                continue
-            g = ring.mul_trunc(ring.shift_down(e, v), unit_inv, cap)
-            for i in range(step, n):
-                m[i][j] = ring.truncate(ring.sub(m[i][j], ring.mul(g, m[i][step])), cap)
+            for j in cols:
+                x, y = row[j], prow[j]
+                # every live entry has valuation >= v, so only b >= v counts
+                new = [sum(unit[k - b] * x[b] - e[k - b] * y[b] for b in range(v, k + 1))
+                       for k in range(cap)]
+                row[j] = [c % p for c in new] if p else new
+            if not p:
+                g = gcd(*(c for j in cols for c in row[j]))
+                if g > 1:
+                    for j in cols:
+                        row[j] = [c // g for c in row[j]]
         vals.append(v)
     return sorted(vals, key=lambda x: (x is None, x))
 

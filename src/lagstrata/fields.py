@@ -208,6 +208,25 @@ class RationalField:
         out += [g if not any(g) else [zero] * ncols for g in given[r:]]
         return out, pivots
 
+    def mat_mul(self, A, B):
+        """``linalg.mat_mul`` over QQ, summed on Python ints.
+
+        Each row of A and each column of B is scaled to ints once by the lcm
+        of its denominators, as in ``rref``; an entry is one int dot product
+        over the product of the two scales.  ``Fraction`` is canonical, so
+        every entry equals ``dot`` of the row and the column.
+        """
+        def cleared(vectors):
+            out = []
+            for v in vectors:
+                d = lcm(*(x.denominator for x in v))
+                out.append(([x.numerator * (d // x.denominator) for x in v], d))
+            return out
+
+        cols = cleared(zip(*B))
+        return [[Fraction(sum(map(mul, a, b)), da * db) for b, db in cols]
+                for a, da in cleared(A)]
+
     def dot(self, a, b):
         """sum a_i*b_i over the nonzero terms."""
         return sum((x * y for x, y in zip(a, b) if x and y), Fraction(0))

@@ -11,8 +11,12 @@ turns every other row R, also one with R[c] = 0, into
 (p_k*R - R[c]*P)/p_{k-1}, so entries stay minors and the division is exact;
 the last pivot divides out at the end.  Its rows are nonzero multiples of
 those of per-row ``Fraction`` elimination, so pivots and row swaps agree,
-and the reduced echelon form is unique, so the result is the same.  Over
-F_p, ``rref`` runs here, one ``PrimeField`` row operation at a time.
+and the reduced echelon form is unique, so the result is the same.
+``RationalField.mat_mul`` clears the denominators of each row of A and each
+column of B once in the same way and sums each entry on ints; ``Fraction``
+is canonical, so the entries are those of ``dot``.  Over F_p, ``rref`` runs
+here, one ``PrimeField`` row operation at a time, and ``mat_mul`` takes one
+``dot`` per entry.
 """
 
 from __future__ import annotations
@@ -94,6 +98,9 @@ def solve(rows, rhs, field):
 
 
 def mat_mul(A, B, field):
+    """A times B; over QQ the field runs it (see the module docstring)."""
+    if field.characteristic == 0:
+        return field.mat_mul(A, B)
     cols = list(zip(*B))
     return [[field.dot(row, col) for col in cols] for row in A]
 

@@ -2,8 +2,9 @@
 
 Polynomials are tuples of coefficients, lowest degree first, with no
 trailing zeros; the zero polynomial is the empty tuple.  ``PolyRing``
-exposes the same add/sub/mul/neg interface as the scalar fields, so ring-
-generic code (the chart quadric) runs unchanged on polynomial entries.
+exposes the same add/sub/mul/neg interface as the scalar fields.  The chart's
+series matrices carry their entries in this form; ``chart.smith_valuations``
+reads them as coefficient lists and does no ``PolyRing`` arithmetic.
 """
 
 from __future__ import annotations

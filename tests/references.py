@@ -171,6 +171,66 @@ def vanishing_order(A: LinearSubspace, level: int, direction, max_order: int = 8
     return total
 
 
+def smith_valuations_by_series(mat, ring: PolyRing, cap: int):
+    """``chart.smith_valuations`` by the series route: Smith normal form with
+    row and column steps over the truncated power series of ``ring``, pivot
+    units inverted as series.
+
+    Valuations of the elementary divisors of a matrix over F[[t]], mod t^cap.
+
+    Returns a sorted list with None for divisors of valuation >= cap.  The
+    sum of the s smallest valuations is the minimal vanishing order among
+    the s x s minors.
+    """
+    field = ring.field
+    m = [[ring.truncate(e, cap) for e in row] for row in mat]
+    n = len(m)
+    vals = []
+    for step in range(n):
+        best = None
+        for i in range(step, n):
+            for j in range(step, n):
+                v = ring.valuation(m[i][j])
+                if v is not None and (best is None or v < best[0]):
+                    best = (v, i, j)
+        if best is None:
+            vals.extend([None] * (n - step))
+            break
+        v, bi, bj = best
+        if bi != step:
+            m[step], m[bi] = m[bi], m[step]
+        if bj != step:
+            for row in m:
+                row[step], row[bj] = row[bj], row[step]
+        pivot = m[step][step]
+        unit = ring.shift_down(pivot, v)
+        unit_inv = ring.series_inverse(unit, cap)
+        for i in range(step + 1, n):
+            e = m[i][step]
+            ve = ring.valuation(e)
+            if ve is None:
+                continue
+            f = ring.mul_trunc(ring.shift_down(e, v), unit_inv, cap)
+            for j in range(step, n):
+                m[i][j] = ring.truncate(ring.sub(m[i][j], ring.mul(f, m[step][j])), cap)
+        for j in range(step + 1, n):
+            e = m[step][j]
+            ve = ring.valuation(e)
+            if ve is None:
+                continue
+            g = ring.mul_trunc(ring.shift_down(e, v), unit_inv, cap)
+            for i in range(step, n):
+                m[i][j] = ring.truncate(ring.sub(m[i][j], ring.mul(g, m[i][step])), cap)
+        vals.append(v)
+    return sorted(vals, key=lambda x: (x is None, x))
+
+
+def mat_mul_by_dot(A, B, field):
+    """``linalg.mat_mul`` as one ``field.dot`` per entry."""
+    cols = list(zip(*B))
+    return [[field.dot(row, col) for col in cols] for row in A]
+
+
 def lagrange_interpolate(xs, ys, field):
     """The unique polynomial of degree < len(xs) through the given points."""
     ring = PolyRing(field)

@@ -15,10 +15,13 @@ from lagstrata.chart import (chart_frame, chart_subspace,
                              chart_kernel_coords,
                              linear_part_matrices, kernel_restriction_rank,
                              plant_corank, decomposable_point_in,
-                             ChartPreconditionError)
+                             ChartPreconditionError, chart_matrix_of, _series_matrix,
+                             smith_valuations)
 from lagstrata.lagrangian import (NotTransverseError, lagrangian_from_graph,
                                   is_decomposable, random_subspace)
-from references import chart_point_of, local_equations, vanishing_order
+from lagstrata.unipoly import PolyRing
+from references import (chart_point_of, local_equations, smith_valuations_by_series,
+                        vanishing_order)
 
 F101 = GF(101)
 
@@ -152,6 +155,94 @@ def test_vanishing_order_lower_bound_always_holds():
                 except ChartPreconditionError:
                     continue  # order beyond the cap still satisfies the bound
                 assert o >= k - level + 1
+
+
+# --- the series matrix and its Smith valuations against the series route ---
+
+SMITH_FIELDS = [QQ, GF(7), F101]
+
+
+def _direction(field, rng, sparse):
+    # a sparse direction has about 30 % zero entries
+    return [[field.zero if sparse and rng.random() < 0.3 else field.random(rng)
+             for _ in range(3)] for _ in range(3)]
+
+
+@settings(max_examples=30, deadline=None)
+@given(field=st.sampled_from(SMITH_FIELDS), k=st.integers(0, 4), sparse=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+def test_series_matrix_is_the_quadric_along_the_line(field, k, sparse, seed):
+    # entries of degree <= 3 that agree with Q(x*d) - Q_A at four points
+    rng = random.Random(seed)
+    A, _ = plant_corank(field, k, rng)
+    d = _direction(field, rng, sparse)
+    mat, ring = _series_matrix(A, d)
+    assert ring.field == field
+    assert all(len(e) <= 4 and (not e or not field.is_zero(e[-1])) for row in mat for e in row)
+    qa = chart_matrix_of(A)
+    for x in map(field.from_int, range(4)):
+        q = chart_quadric([[field.mul(x, b) for b in row] for row in d], field)
+        at_x = [[sum((field.mul(c, x ** n) for n, c in enumerate(e)), field.zero)
+                 for e in row] for row in mat]
+        assert mat_eq(at_x, [[field.sub(a, b) for a, b in zip(r, s)] for r, s in zip(q, qa)],
+                      field)
+
+
+@settings(max_examples=60, deadline=None)
+@given(field=st.sampled_from(SMITH_FIELDS), k=st.integers(0, 4), cap=st.integers(1, 7),
+       sparse=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_smith_valuations_match_series_route(field, k, cap, sparse, seed):
+    rng = random.Random(seed)
+    A, _ = plant_corank(field, k, rng)
+    mat, ring = _series_matrix(A, _direction(field, rng, sparse))
+    got = smith_valuations(mat, ring, cap)
+    assert got == smith_valuations_by_series(mat, ring, cap)
+    assert got[:10 - k] == [0] * (10 - k)
+
+
+@pytest.mark.parametrize("field", SMITH_FIELDS, ids=repr)
+def test_smith_valuations_zero_direction_and_zero_matrix(field):
+    rng = random.Random(5)
+    ring = PolyRing(field)
+    zero = [[ring.zero] * 10 for _ in range(10)]
+    assert smith_valuations(zero, ring, 4) == [None] * 10
+    for k in (0, 2, 4):
+        A, _ = plant_corank(field, k, rng)
+        mat, ring = _series_matrix(A, [[field.zero] * 3 for _ in range(3)])
+        for cap in (1, 5):
+            got = smith_valuations(mat, ring, cap)
+            assert got == smith_valuations_by_series(mat, ring, cap) == [0] * (10 - k) + [None] * k
+
+
+@settings(max_examples=40, deadline=None)
+@given(field=st.sampled_from(SMITH_FIELDS), cap=st.integers(1, 7),
+       exps=st.lists(st.integers(0, 9), min_size=1, max_size=6),
+       seed=st.integers(0, 2**32 - 1))
+def test_smith_valuations_planted_diagonal(field, cap, exps, seed):
+    # P * diag(t^a u_a(t)) * Q with units u_a and invertible constant P, Q,
+    # some exponents at or above the cap
+    rng = random.Random(seed)
+    ring = PolyRing(field)
+    n = len(exps)
+
+    def invertible():
+        while True:
+            M = [[field.random(rng) for _ in range(n)] for _ in range(n)]
+            if rank(M, field) == n:
+                return M
+    P, Q = invertible(), invertible()
+    diag = [ring.mul((field.zero,) * a + (field.one,),
+                     (field.random_nonzero(rng), field.random(rng), field.random(rng)))
+            for a in exps]
+    mat = [[ring.zero] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            for a in range(n):
+                term = ring.scale(field.mul(P[i][a], Q[a][j]), diag[a])
+                mat[i][j] = ring.add(mat[i][j], term)
+    got = smith_valuations(mat, ring, cap)
+    assert got == smith_valuations_by_series(mat, ring, cap)
+    assert got == sorted((a if a < cap else None for a in exps), key=lambda v: (v is None, v))
 
 
 @pytest.mark.parametrize("k,expected", [(0, 0), (1, 1), (2, 3), (3, 6)])

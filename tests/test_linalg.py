@@ -2,13 +2,14 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from lagstrata.fields import QQ, GF
 from lagstrata.linalg import (LinearSubspace, rref, rank, right_nullspace, solve,
                               mat_mul, mat_inverse, identity,
                               intersect, annihilator,
                               symmetric_with_kernel, is_symmetric, mat_eq)
+from references import mat_mul_by_dot
 
 FIELDS = [QQ, GF(5), GF(101)]
 
@@ -345,6 +346,40 @@ def test_mat_mul_edge_shapes_match_per_term_products(field):
         assert_same_product(A, B, field)
     assert field.dot([], []) == field.zero
     assert type(field.dot([], [])) is type(field.zero)
+
+
+def _qq_vectors(length, count):
+    """count vectors of the given length over QQ, denominators up to 10^6;
+    some all zero, some with an int 0 entry."""
+    entry = st.one_of(
+        st.just(0),
+        st.builds(Fraction, st.integers(min_value=-10**6, max_value=10**6),
+                  st.integers(min_value=1, max_value=10**6)))
+    vector = st.one_of(st.just([Fraction(0)] * length), st.lists(entry, min_size=length,
+                                                                  max_size=length))
+    return st.lists(vector, min_size=count, max_size=count)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+@example(data=None)
+def test_qq_mat_mul_on_ints_matches_dot(data):
+    if data is None:      # the shapes that carry no entry at all
+        cases = [([], []), ([], [[QQ.one]]), ([[]], []), ([[], []], []),
+                 ([[QQ.one, QQ.one]], [[], []])]
+    else:
+        n, k, m = (data.draw(st.integers(min_value=0, max_value=6)) for _ in range(3))
+        A = data.draw(_qq_vectors(k, n))
+        B = data.draw(_qq_vectors(m, k))
+        if k and m and data.draw(st.booleans()):     # a zero column of B
+            j = data.draw(st.integers(min_value=0, max_value=m - 1))
+            for row in B:
+                row[j] = Fraction(0)
+        cases = [(A, B)]
+    for A, B in cases:
+        got = mat_mul(A, B, QQ)
+        assert got == mat_mul_by_dot(A, B, QQ)
+        assert all(type(x) is Fraction for row in got for x in row)
 
 
 @pytest.mark.parametrize("field", [QQ, GF(2), GF(7)])

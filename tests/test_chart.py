@@ -111,7 +111,6 @@ def test_local_equations_level2_consistency_sampled():
 
 
 def test_minor_line_restriction_matches_smith_order():
-    from lagstrata.unipoly import PolyRing
     rng = random.Random(9)
     A, _ = plant_corank(F101, 2, rng, decomposable_free=True)
     d = rand_b(F101, rng)

@@ -1,27 +1,36 @@
 """Vectorized mod-p kernels for the finite-field scans.
 
-All arrays hold integers in float32.  Every value stays below EXACT_LIMIT
-= 2^21 in magnitude, where ``_reduce_mod`` is exact (at 2^23 it is not:
-p = 167 first fails at 4954555); ``check_exact`` is the one place that
-bounds the entry growth of ``batch_rank``, the census kernel and the sums of
-``quadric_zeros``.
+The float32 kernels hold integers in float32.  Every value stays below
+EXACT_LIMIT = 2^21 in magnitude, where ``_reduce_mod`` is exact (at 2^23 it
+is not: p = 167 first fails at 4954555); ``check_exact`` is the one place
+that bounds the entry growth of ``batch_rank``, the products of
+``matmul_mod_f32`` and the census kernel, and the sums of ``quadric_zeros``.
 
 The census kernel ``intersection_dims_for_groups`` shares work between
 subspaces with the same first two echelon rows: per (u_1, u_2) group it
-eliminates the four Gram rows of u_1^u_2 once (rank additivity), and then
-ranks one 6x6 residual per free value of u_3; groups whose four rows are
-dependent fall back to the 10x10 Gram rank of ``intersection_dims_for_batch``.
+eliminates the four Gram rows of u_1^u_2 once in float32 (rank additivity),
+and then ranks one 6x6 residual per free value of u_3; groups whose four
+rows are dependent fall back to the 10x10 Gram rank of
+``intersection_dims_for_batch``.  The residuals are ranked on bit-planes,
+for p <= PLANES_MAX_PRIME = 7 only: an F_p value is stored as b =
+p.bit_length() binary planes (1 for p = 2, 2 for p = 3, 3 for p = 5 and 7),
+and one uint64 word of a plane holds that bit of one entry of 64 matrices
+(lanes), so every step of an elimination is a short run of bitwise
+operations on whole planes (bitslicing, as in Boothby and Bradshaw,
+arXiv:0901.1413, and M4RI over GF(2)).  Bit operations need no exactness
+bound.
 Decomposability is tested by the Pluecker quadrics of G(3,6), which cut out
 the decomposable trivectors over every field (Fulton, *Young Tableaux*, §9).
 The pure-Python echelon code in :mod:`lagstrata.linalg` is the reference
-these kernels are tested against.
+these kernels are tested against.  The cached tables are read-only, as the
+census threads share them, and none is built at import.
 """
 
 from __future__ import annotations
 
 import os
 from concurrent.futures import ThreadPoolExecutor
-from functools import lru_cache
+from functools import lru_cache, wraps
 from itertools import combinations
 
 import numpy as np
@@ -31,10 +40,24 @@ from .fields import GF
 from .linalg import rref
 
 MAX_PRIME = 181
+PLANES_MAX_PRIME = 7
 EXACT_LIMIT = 1 << 21
 
 
-@lru_cache(maxsize=None)
+def _table(build):
+    """``lru_cache`` for a table builder; the arrays it returns (one, or a
+    tuple) are made read-only, as the census threads share them."""
+    @lru_cache(maxsize=None)
+    @wraps(build)
+    def cached(*args):
+        out = build(*args)
+        for table in out if isinstance(out, tuple) else (out,):
+            table.setflags(write=False)
+        return out
+    return cached
+
+
+@_table
 def inverse_table(p: int) -> np.ndarray:
     tab = np.zeros(p, dtype=np.float32)
     for a in range(1, p):
@@ -117,7 +140,147 @@ def _eliminate_line(a: np.ndarray, s: int, p: int, aN: np.ndarray, buf: np.ndarr
     return piv, pval
 
 
-@lru_cache(maxsize=None)
+def check_planes(p: int) -> None:
+    """Raise unless p is in the domain of the bit-plane kernels."""
+    if p > PLANES_MAX_PRIME:
+        raise ValueError(f"bit-plane kernels require p <= {PLANES_MAX_PRIME}")
+
+
+def pack_planes(vals: np.ndarray, p: int) -> np.ndarray:
+    """Bit-planes of integers in [0, p) along the last axis: (..., n) to a
+    (b, ..., ceil(n / 64)) uint64 array, b = p.bit_length(), whose plane k
+    holds bit k of 64 values (lanes) per word; padding lanes hold 0."""
+    check_planes(p)
+    n = vals.shape[-1]
+    padded = np.zeros(vals.shape[:-1] + (-(-n // 64) * 64,), dtype=np.uint8)
+    padded[..., :n] = vals
+    return np.stack([np.packbits(padded >> k & 1, axis=-1, bitorder="little").view(np.uint64)
+                     for k in range(p.bit_length())])
+
+
+def _mod_once(s: np.ndarray, top: np.ndarray, p: int) -> np.ndarray:
+    """In place, the bit-planes ``s`` (the first axis) of a value v < 2p
+    whose bit b is ``top`` become those of v mod p.
+
+    Adding c = 2^(b+1) - p to v carries out of bit b exactly where v >= p;
+    with the carries cy_k of that addition into bit k, v - p differs from v
+    in bit k by c_k ^ cy_k, so those bits flip where the carry out is set.
+    """
+    c = (1 << len(s) + 1) - p
+    cys = [None]                        # None: a carry known to be 0
+    for k, sk in enumerate([*s, top]):
+        cy = cys[-1]
+        if c >> k & 1:
+            cys.append(sk if cy is None else sk | cy)
+        else:
+            cys.append(None if cy is None else sk & cy)
+    ge = cys.pop()
+    for k in reversed(range(len(s))):   # cys[k + 1] may be s[k] itself
+        cy = cys[k]
+        if c >> k & 1:
+            s[k] ^= ge if cy is None else ge & ~cy
+        elif cy is not None:
+            s[k] ^= ge & cy
+    return s
+
+
+def _add_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+    """(a + b) mod p on bit-planes (the first axis, broadcast) of values in
+    [0, p): a ripple add, then one conditional subtraction of p."""
+    if p == 2:
+        return a ^ b
+    out = np.empty(np.broadcast_shapes(a.shape, b.shape), dtype=np.uint64)
+    carry = None
+    for k, (x, y) in enumerate(zip(a, b)):
+        t = x ^ y
+        if carry is None:
+            out[k] = t
+            carry = x & y
+        else:
+            np.bitwise_xor(t, carry, out=out[k])
+            t &= carry
+            carry = x & y
+            carry |= t
+    return _mod_once(out, carry, p)
+
+
+def _multiples(x: np.ndarray, p: int) -> np.ndarray:
+    """The bit-planes of c x for c = 1 .. p - 1, stacked on a new first
+    axis: even c by doubling (a shift of the planes), odd c by adding x."""
+    out = [x]
+    for c in range(2, p):
+        if c % 2:
+            out.append(_add_mod(out[-1], x, p))
+        else:
+            half = out[c // 2 - 1]
+            double = np.concatenate([np.zeros_like(half[:1]), half[:-1]])
+            out.append(_mod_once(double, half[-1], p))
+    return np.stack(out)
+
+
+@_table
+def _plane_tables(p: int):
+    """Tables of the bit-plane kernels over F_p: bits[c - 1, k] =
+    bit k of c; neg[e - 1, d - 1] = (-e d mod p) - 1, so that a factor f
+    and a pivot d have -f / d = e exactly where f = neg[e - 1, d - 1] + 1;
+    and prod[k, v - 1, e - 1], all ones where bit k of e v mod p is set."""
+    bits = np.array([[c >> k & 1 for k in range(p.bit_length())] for c in range(1, p)])
+    neg = np.array([[-e * d % p - 1 for d in range(1, p)] for e in range(1, p)])
+    prod = np.array([[[-(e * v % p >> k & 1) for e in range(1, p)] for v in range(1, p)]
+                     for k in range(p.bit_length())]).astype(np.uint64)
+    return bits, neg, prod
+
+
+def _equal_masks(v: np.ndarray, p: int) -> np.ndarray:
+    """Lane masks [v == c] for c = 1 .. p - 1 of the bit-planes v (the first
+    axis), stacked on a new first axis."""
+    both = np.stack([~v, v])
+    return np.bitwise_and.reduce(both[_plane_tables(p)[0], np.arange(len(v))], axis=1)
+
+
+def plane_rank(planes: np.ndarray, p: int) -> np.ndarray:
+    """Ranks over F_p of the 64 W matrices in the (b, r, c, W) bit-planes of
+    ``pack_planes``; returns one int64 rank per lane, 64 W in all.
+
+    ``batch_rank``'s pivot rule on bit-planes: step s takes the first
+    nonzero column of row s (running OR masks), and adds e times row s to
+    each lower row, e = -factor / pivot lane by lane, which clears the
+    pivot column.  Row s is nonzero exactly where it is independent of the
+    rows above it.  The scalars are masks [e == 1 .. p - 1] and the entries
+    of row s masks [entry == v], so bit k of each product e v is one select
+    over v of the OR of the e masks that set it.
+    """
+    check_planes(p)
+    r, W = planes.shape[1], planes.shape[3]
+    _, neg_index, prod = _plane_tables(p)
+    rows = planes                       # rows s .. r - 1 at step s
+    nonzero = np.empty((r, W), dtype=np.uint64)
+    for s in range(r):
+        row = rows[:, 0]
+        nz = np.bitwise_or.reduce(row, axis=0)
+        seen = np.bitwise_or.accumulate(nz, axis=0)
+        nonzero[s] = seen[-1]
+        if s + 1 == r:
+            break
+        first = nz
+        first[1:] &= ~seen[:-1]
+        entries = _equal_masks(row, p)
+        pivot = np.bitwise_or.reduce(entries & first, axis=1)
+        lower = rows[:, 1:]
+        factor = _equal_masks(np.bitwise_or.reduce(lower & first, axis=2), p)
+        # [-factor / pivot == e] = OR_d [pivot == d] & [factor == -e d]
+        scale = np.bitwise_or.reduce(factor[neg_index] & pivot[None, :, None], axis=1)
+        # sets[k, v - 1]: the lanes whose bit k of e v is set
+        sets = np.bitwise_or.reduce(scale & prod[..., None, None], axis=2)
+        update = entries[0] & sets[:, 0, :, None]
+        for v in range(1, p - 1):
+            update |= entries[v] & sets[:, v, :, None]
+        rows = _add_mod(lower, update, p)
+    bits = np.unpackbits(nonzero.view(np.uint8), axis=1, bitorder="little")
+    return bits.sum(axis=0, dtype=np.int64)
+
+
+@_table
 def _pair_indices():
     ia, ib = zip(*combinations(range(6), 2))
     return np.array(ia), np.array(ib)
@@ -134,21 +297,22 @@ def _sign_tensor(g: int, h: int) -> np.ndarray:
     return S
 
 
-@lru_cache(maxsize=None)
+@_table
 def tri_biv_to_five() -> np.ndarray:
     """Wedge sign tensor (tri, biv) -> grade-5 coordinate; shape (20, 15, 6)."""
     return _sign_tensor(3, 2)
 
 
-@lru_cache(maxsize=None)
+@_table
 def vec_tri_to_four() -> np.ndarray:
     """Wedge sign tensor (vector, tri) -> grade-4 coordinate; shape (6, 20, 15)."""
     return _sign_tensor(1, 3)
 
 
 def matmul_mod_f32(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """(a @ b) mod p in float32; exact while the accumulated values stay
-    below EXACT_LIMIT (true for all uses here)."""
+    """(a @ b) mod p in float32 for entries reduced mod p: each entry is a
+    sum of a.shape[1] products below (p - 1)^2, bounded by ``check_exact``."""
+    check_exact(p, terms=a.shape[1])
     prod = a.astype(np.float32, copy=False) @ b.astype(np.float32, copy=False)
     _reduce_mod(prod, p)
     return prod
@@ -268,14 +432,18 @@ def _u3_free(slots) -> int:
     return sum(i == 2 for i, _ in slots)
 
 
-def group_block_descriptors(p: int, chunk: int = 32768):
+def group_block_descriptors(p: int, chunk: int):
     """Disjoint blocks of (u_1, u_2) groups covering G(3, F_p^6) once.
 
     In a pattern with n free slots, f of them in u_3, a code splits as
     g + p^(n-f) c: the group g fixes u_1 and u_2 (their digits come first)
     and c the free entries of u_3.  A descriptor (pattern, slots, first,
     groups) covers groups first .. first + groups - 1 with every c, about
-    ``chunk`` subspaces (at least one group, so at most p^3 subspaces).
+    ``chunk`` subspaces (at least one group, so at most p^3 subspaces) and
+    at most chunk / 4 groups: a group takes 10 to 28 float32 Gram lines for
+    its 1 to p^3 subspaces, so the groups of small f bound the memory.
+    Above 64, the groups of a block are a multiple of 64, the lanes of a
+    word of ``intersection_dims_for_groups``'s bit-planes.
     """
     check_chunk(chunk)
     out = []
@@ -283,7 +451,9 @@ def group_block_descriptors(p: int, chunk: int = 32768):
         slots = tuple(free_slots(pattern))
         f = _u3_free(slots)
         total = p ** (len(slots) - f)
-        step = max(1, chunk // p**f)
+        step = max(1, min(chunk // p**f, chunk // 4))
+        if step > 64:
+            step -= step % 64
         for first in range(0, total, step):
             out.append((pattern, slots, first, min(step, total - first)))
     return out
@@ -298,15 +468,14 @@ def group_block_codes(desc, p: int) -> np.ndarray:
     return c + np.arange(first, first + groups, dtype=np.int64)
 
 
-@lru_cache(maxsize=None)
+@_table
 def _wedge_basis_vector() -> np.ndarray:
     """W[k, j, i] = bivector coordinate j of e_i ^ e_k; shape (6, 15, 6)."""
     return _sign_tensor(1, 1).transpose(1, 2, 0).astype(np.float32)
 
 
-def intersection_dims_for_groups(desc, D: np.ndarray, p: int) -> np.ndarray:
-    """dim(A ∩ T_U) for every U of a group block, as a (p^f, groups) array
-    in the layout of ``group_block_codes``; D from ``tangent_gram_blocks``.
+def group_residuals(desc, D: np.ndarray, p: int):
+    """The residual blocks of a group block, for ``intersection_dims_for_groups``.
 
     The Gram matrix of ``intersection_dims_for_batch`` stacks a 4x10 block X
     (u_1^u_2 against four blocks of D), fixed by the group, on a 6x10 block
@@ -314,9 +483,9 @@ def intersection_dims_for_groups(desc, D: np.ndarray, p: int) -> np.ndarray:
     x of u_3: Y = Y_0 + sum_t x_t Y_t.  Rank is additive, rank [X; Y] =
     rank X + rank(Y mod the rows of X), so when rank X = 4 the group's X is
     eliminated once, by ``batch_rank``'s pivot rule, from Y_0 and every Y_t.
-    Their six non-pivot columns give 6x6 blocks Z(x) = Y_0' + sum_t x_t Y_t',
-    formed for all x in one product, and dim = 6 - rank Z(x).  Groups with
-    rank X < 4 take the 10x10 path.
+    Returns their six non-pivot columns Y_t' as a reduced float32 array
+    (1 + f, 6, 6, groups), and the mask of the groups with rank X = 4; then
+    dim = 6 - rank Z(x) with Z(x) = Y_0' + sum_t x_t Y_t'.
     """
     pattern, slots, first, groups = desc
     f = _u3_free(slots)
@@ -349,19 +518,47 @@ def intersection_dims_for_groups(desc, D: np.ndarray, p: int) -> np.ndarray:
     keep = np.argsort(~free, axis=0, kind="stable")[:6]
     y = np.take_along_axis(a[4:].reshape(1 + f, 6, 10, groups), keep[None, None], axis=2)
     _reduce_mod(y, p)
-    xs = np.ones((p**f, 1 + f), dtype=np.float32)
-    rest = np.arange(p**f, dtype=np.int64)
-    for t in range(1, 1 + f):
-        np.divmod(rest, p, out=(rest, xs[:, t]))
-    z = np.matmul(xs, y.reshape(1 + f, 36, groups).transpose(1, 0, 2))
-    rank = batch_rank(z.reshape(6, 6, -1).transpose(2, 0, 1), p, in_place=True)
-    dims = (6 - rank).reshape(p**f, groups)
+    return y, full
+
+
+def fill_rank_deficient(desc, D: np.ndarray, p: int, dims: np.ndarray,
+                        full: np.ndarray) -> np.ndarray:
+    """``dims`` with the groups outside the mask ``full`` (rank X < 4)
+    recomputed by the 10x10 path."""
     if not full.all():
         bad = np.flatnonzero(~full)
         codes = group_block_codes(desc, p)[:, bad]
-        mats = echelon_rows(pattern, slots, codes.ravel(), p)
+        mats = echelon_rows(desc[0], desc[1], codes.ravel(), p)
         dims[:, bad] = intersection_dims_for_batch(mats, D, p).reshape(codes.shape)
     return dims
+
+
+def intersection_dims_for_groups(desc, D: np.ndarray, p: int) -> np.ndarray:
+    """dim(A ∩ T_U) for every U of a group block, as a (p^f, groups) array
+    in the layout of ``group_block_codes``; D from ``tangent_gram_blocks``.
+
+    For p <= PLANES_MAX_PRIME only.  The residuals Y_t' of
+    ``group_residuals`` are packed once per group into bit-planes, lanes
+    x-major over the groups padded to whole words, so that each word holds
+    one x.  Z(x) = Y_0' + sum_t x_t Y_t' is then formed for every x from the
+    constant multiples c Y_t' by additions on the planes, and ranked by
+    ``plane_rank``; padding lanes are dropped from the result.  Groups with
+    rank X < 4 take the 10x10 path.
+    """
+    check_planes(p)
+    y, full = group_residuals(desc, D, p)
+    groups = y.shape[-1]
+    planes = pack_planes(y.astype(np.uint8), p)        # (b, 1 + f, 6, 6, words)
+    z = planes[:, 0, :, :, None]
+    for t in range(1, planes.shape[1]):
+        mults = _multiples(planes[:, t], p)
+        mults = np.moveaxis(np.concatenate([np.zeros_like(mults[:1]), mults]), 0, 3)
+        # x_t is the most significant digit of the x index so far
+        z = _add_mod(mults[:, :, :, :, None], z[:, :, :, None], p)
+        z = z.reshape(z.shape[:3] + (-1, z.shape[-1]))
+    rank = plane_rank(z.reshape(z.shape[:3] + (-1,)), p)
+    dims = 6 - rank.reshape(z.shape[3], -1)[:, :groups]
+    return fill_rank_deficient(desc, D, p, dims, full)
 
 
 def projective_block_descriptors(dim: int, p: int, chunk: int = 65536):
@@ -403,7 +600,7 @@ def _upper(G: np.ndarray) -> np.ndarray:
     return np.triu(G + G.swapaxes(-1, -2), 1) + G * np.eye(G.shape[-1], dtype=G.dtype)
 
 
-@lru_cache(maxsize=None)
+@_table
 def plucker_relations() -> np.ndarray:
     """The quadrics sum_k (-1)^k p_{i1 i2 j_k} p_{J - j_k} (J a 4-set, p
     alternating), nonzero and distinct up to sign, as upper-triangular forms

@@ -22,8 +22,8 @@ import click
 from . import __version__
 from . import schubert, dualk3
 from .batched import MAX_PRIME as BATCHED_MAX_PRIME
-from .acceptance import (CriterionResult, run_all, DUALK3_STAGES, SEED_CHART_IDENTITY,
-                         SEED_DUALK3, census_experiment, criterion_1_degrees,
+from .acceptance import (ALL_CRITERIA, CriterionResult, run_all, DUALK3_STAGES,
+                         SEED_CHART_IDENTITY, SEED_DUALK3, census_experiment, criterion_1_degrees,
                          criterion_3_connectedness, criterion_4_exceptional,
                          criterion_5_chart_identity, criterion_6_tangent_cone,
                          criterion_7_restriction_rank, criterion_10_hilb_ledger)
@@ -76,10 +76,12 @@ def _require_prime(prime: int, lo: int = 2, hi: int = FIELD_MAX_PRIME):
         _error(str(exc), 2)
 
 
-def _require_positive(option: str, value: int):
-    """Exit 2 with the report unless the option (--trials, --threads) is at least 1."""
-    if value < 1:
-        _error(f"{option} must be at least 1, not {value}", 2)
+def _require_at_least(option: str, value: int, lo: int = 1):
+    """Exit 2 with the report unless the option is at least ``lo``: 1 for
+    --trials and --threads, 0 for --seed (random.Random(-s) draws what
+    Random(s) draws, so a negative seed would repeat another under its name)."""
+    if value < lo:
+        _error(f"{option} must be at least {lo}, not {value}", 2)
 
 
 def _keep(ctx, param, value):
@@ -122,6 +124,8 @@ for _name, _criterion, _help in (
 def invariants(genus, a, b):
     """Beauville-Bogomolov square and Fujiki degree on the length-3 Hilbert scheme
     (criterion 10)."""
+    # a polarized K3 surface has genus at least 2
+    _require_at_least("--genus", genus, 2)
     rec = criterion_10_hilb_ledger()
     rec.results = schubert.hilb3_invariants(genus, a, b)
     _emit(rec)
@@ -137,7 +141,8 @@ def invariants(genus, a, b):
 def census_cmd(prime, seed, threads, lg1):
     """Exact stratum histogram of a seeded random Lagrangian over F_p."""
     _require_prime(prime)
-    _require_positive("--threads", threads)
+    _require_at_least("--seed", seed, 0)
+    _require_at_least("--threads", threads)
     rec = census_experiment(prime, seed, threads, lg1)
     _emit(rec, exit_code=3 if "error" in rec.results else None)
 
@@ -148,7 +153,8 @@ def census_cmd(prime, seed, threads, lg1):
 @_common
 def chart_verify(seed, trials):
     """Chart-quadric identity, tangent-cone orders, restriction ranks (criteria 5-7)."""
-    _require_positive("--trials", trials)
+    _require_at_least("--seed", seed, 0)
+    _require_at_least("--trials", trials)
     rec = CriterionResult(0, "chart-verify")
     for part in (criterion_5_chart_identity(seed, trials), criterion_6_tangent_cone(seed),
                  criterion_7_restriction_rank(seed)):
@@ -166,7 +172,8 @@ def chart_verify(seed, trials):
 @_common
 def dual_k3(prime, seed, experiment, trials):
     """Sampled verification of the special-Lagrangian surface maps (criterion 9)."""
-    _require_positive("--trials", trials)
+    _require_at_least("--seed", seed, 0)
+    _require_at_least("--trials", trials)
     # the construction needs p >= 5; residual triples run batched ranks
     _require_prime(prime, lo=5,
                    hi=BATCHED_MAX_PRIME if experiment == "residual" else FIELD_MAX_PRIME)
@@ -184,6 +191,9 @@ def dual_k3(prime, seed, experiment, trials):
 @_common
 def accept_all(skip):
     """Run the whole acceptance suite and aggregate the verdicts."""
+    for cid in skip:
+        if not 1 <= cid <= len(ALL_CRITERIA):
+            _error(f"--skip takes criterion numbers 1 to {len(ALL_CRITERIA)}, not {cid}", 2)
     rec = CriterionResult(0, "accept-all")
     results = run_all(skip=set(skip))
     rec.results = {"criteria": [r.to_json() for r in results]}

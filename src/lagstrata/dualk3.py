@@ -33,7 +33,7 @@ coordinates are read at the pivot columns of its echelon basis
 The scan of the twisted cubic through a triple (``_curve_points``) runs in
 numpy.  The 3x5 condition matrices of all p^2 + p + 1 points lambda of
 P^2(F_p) come from one float32 product whose entries are sums of 3 reduced
-products, below 3 (p - 1)^2 (``batched.check_exact(p, terms=3)``), and
+products, below 3 (p - 1)^2 (``batched.matmul_mod_f32`` bounds them), and
 their ranks from one ``batch_rank``.  The plane of pi(lambda) lies in
 the kernel of its condition matrix, so at rank 2 the curve point spans
 wedge^3 of the kernel: _dual(r_a ^ r_b, 2) for any two independent rows,
@@ -707,7 +707,7 @@ def _curve_points(data: SpecialLagrangianData, Uprime: LinearSubspace):
     Scans the plane of decomposable two-forms pi(lambda) of U'.  The 3x5
     condition matrices M(lambda)[j][m] = vol5(kappa_j ^ pi(lambda) ^ e_m) of
     all of P^2(F_p) come from one float32 product, points times R, of sums of
-    3 reduced products (below 3 (p - 1)^2, bounded by ``check_exact``), and
+    3 reduced products (below 3 (p - 1)^2, bounded in ``matmul_mod_f32``), and
     their ranks from one ``batch_rank``.  The plane of pi(lambda) lies in
     ker M(lambda); at rank 2 the kernel adds one line v, and the curve point
     pi(lambda) ^ v spans wedge^3 ker M(lambda), which is _dual(r_a ^ r_b, 2)
@@ -723,7 +723,6 @@ def _curve_points(data: SpecialLagrangianData, Uprime: LinearSubspace):
     R = np.array([[_dual(_wedge(k, pi, 2, 2, p), 4, p) for k in data.K.rows] for pi in pis],
                  dtype=np.float32)
     lams = _plane_points(p)
-    batched.check_exact(p, terms=3)
     mats = batched.matmul_mod_f32(lams, R.reshape(3, 15), p).reshape(-1, 3, 5)
     ranks = batched.batch_rank(mats, p, assume_reduced=True)
     points = set(map(tuple, _rank2_points(mats[ranks == 2], p).tolist()))

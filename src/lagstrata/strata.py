@@ -33,11 +33,14 @@ class BudgetExceededError(RuntimeError):
 
 
 SCAN_MAX_PRIME = 7      # at p = 11 one scan covers 2,617,126,920 subspaces: hours
+assert SCAN_MAX_PRIME <= batched.PLANES_MAX_PRIME   # the census kernel's domain
 SIGMA_EXHAUSTIVE_MAX_PRIME = 5
 DELTA_MAX_PRIME = 13
 DELTA_CHUNK = 4096      # points per delta block: each builds (150, n) products and a
                         # (10, 15, n) rank batch, so larger blocks cost time and memory
 REPORTED_WITNESSES = 16  # a probe's JSON lists its first 16 witnesses
+CENSUS_CHUNK = 65536    # subspaces per census block: larger blocks spread the bit-plane
+                        # kernel's per-call cost over more words
 
 
 def stratum(A: LinearSubspace, U: LinearSubspace) -> int:
@@ -149,7 +152,7 @@ def _census_scan(A: LagrangianSubspace, chunk: int, threads: int):
     return report, witnesses
 
 
-def census(A: LagrangianSubspace, chunk: int = 32768, threads: int = 2) -> CensusReport:
+def census(A: LagrangianSubspace, chunk: int = CENSUS_CHUNK, threads: int = 2) -> CensusReport:
     """Exact stratum histogram over all of G(3, F_p^6)."""
     return _census_scan(A, chunk, threads)[0]
 
@@ -167,7 +170,8 @@ def _gamma(A: LagrangianSubspace, report: CensusReport, witnesses) -> DivisorPro
                               detail={"counts": {str(k): v for k, v in report.counts.items()}})
 
 
-def gamma_witnesses(A: LagrangianSubspace, chunk: int = 32768, threads: int = 2) -> DivisorProbeResult:
+def gamma_witnesses(A: LagrangianSubspace, chunk: int = CENSUS_CHUNK,
+                    threads: int = 2) -> DivisorProbeResult:
     """Exhaustive scan for [U] with dim(A ∩ T_U) >= 4; certifies either way."""
     return _gamma(A, *_census_scan(A, chunk, threads))
 
@@ -270,7 +274,7 @@ class Lg1Sample:
 
 
 def sample_lg1(p: int, seed: int, max_attempts: int = 20, want_census: bool = False,
-               chunk: int = 32768, threads: int = 2) -> Lg1Sample:
+               chunk: int = CENSUS_CHUNK, threads: int = 2) -> Lg1Sample:
     """Rejection-sample a graph Lagrangian with no sigma/gamma witness.
 
     Each attempt draws a random symmetric matrix over the standard frame,

@@ -33,6 +33,22 @@ def grassmann_block_descriptors(p: int, chunk: int = 32768):
     return out
 
 
+def intersection_dims_for_groups_f32(desc, D, p: int) -> np.ndarray:
+    """``batched.intersection_dims_for_groups`` by its float32 route, the
+    oracle of the bit-plane ranks: Z(x) = Y_0' + sum_t x_t Y_t' for every x
+    from one float32 product of the digit rows (1, x_1, .., x_f) with the
+    residuals, ranked by ``batch_rank``; any p <= MAX_PRIME."""
+    y, full = batched.group_residuals(desc, D, p)
+    f = y.shape[0] - 1
+    xs = np.ones((p**f, 1 + f), dtype=np.float32)
+    rest = np.arange(p**f, dtype=np.int64)
+    for t in range(1, 1 + f):
+        np.divmod(rest, p, out=(rest, xs[:, t]))
+    z = np.matmul(xs, y.reshape(1 + f, 36, -1).transpose(1, 0, 2))
+    rank = batched.batch_rank(z.reshape(6, 6, -1).transpose(2, 0, 1), p, in_place=True)
+    return batched.fill_rank_deficient(desc, D, p, (6 - rank).reshape(p**f, -1), full)
+
+
 def census_brute(A) -> dict:
     """Reference census by pure-Python strata; only sensible for p = 2."""
     p = _require_prime_field(A)

@@ -1,4 +1,6 @@
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -7,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from lagstrata import batched
 from lagstrata.fields import GF
 from lagstrata.linalg import rank as pure_rank
-from references import grassmann_block_descriptors
+from references import grassmann_block_descriptors, intersection_dims_for_groups_f32
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 13, 101, 181])
@@ -460,15 +462,20 @@ def test_group_dims_take_the_10x10_path_on_rank_deficient_groups(monkeypatch):
 
 @pytest.mark.parametrize("p", [7, batched.MAX_PRIME])
 def test_group_dims_at_the_float32_edge(p, monkeypatch):
-    # The kernel's one bound, check_exact(p, 5, terms=15), covers its 15-term
-    # products and the Y rows after four updates; D with entries in {0, p - 1}
-    # (any D: the rank identity needs no Lagrangian) makes every product and
-    # update maximal.  At the scan cap p = 7 and at MAX_PRIME the kernel still
-    # agrees with the 10x10 path, and past MAX_PRIME it refuses.
+    # The float32 half's one bound, check_exact(p, 5, terms=15), covers its
+    # 15-term products and the Y rows after four updates; D with entries in
+    # {0, p - 1} (any D: the rank identity needs no Lagrangian) makes every
+    # product and update maximal.  At the scan cap p = 7 the kernel agrees
+    # with the 10x10 path.  MAX_PRIME is past the bit-plane domain, so there
+    # the kernel refuses and the float32 route of the residuals agrees;
+    # past MAX_PRIME that route refuses too.
     calls = []
     check = batched.check_exact
     monkeypatch.setattr(batched, "check_exact",
                         lambda *a, **k: calls.append((a, k)) or check(*a, **k))
+    kernel = batched.intersection_dims_for_groups
+    if p > batched.PLANES_MAX_PRIME:
+        kernel = intersection_dims_for_groups_f32
     rng = np.random.default_rng(p)
     for pattern_index in range(20):
         desc = _group_block(p, pattern_index, int(rng.integers(0, 2**40)), 3)
@@ -476,10 +483,151 @@ def test_group_dims_at_the_float32_edge(p, monkeypatch):
             continue           # p^f > 400 subspaces per group: only at p = 181
         D = (p - 1) * rng.integers(0, 2, size=(15, 60)).astype(np.float32)
         D[:, rng.integers(60)] = p - 1
+        if p > batched.PLANES_MAX_PRIME:
+            with pytest.raises(ValueError):
+                batched.intersection_dims_for_groups(desc, D, p)
         calls.clear()
-        got = batched.intersection_dims_for_groups(desc, D, p)
+        got = kernel(desc, D, p)
         assert calls[0] == ((p, 5), {"terms": 15})
         assert (got == _dims_by_10x10(desc, D, p)[0]).all()
     with pytest.raises(ValueError):
-        batched.intersection_dims_for_groups(_group_block(191, 19, 0, 1),
-                                             np.zeros((15, 60), dtype=np.float32), 191)
+        intersection_dims_for_groups_f32(_group_block(191, 19, 0, 1),
+                                         np.zeros((15, 60), dtype=np.float32), 191)
+
+
+def test_matmul_mod_f32_at_the_float32_edge():
+    # at MAX_PRIME a 64-term sum of products (p - 1)^2 is 2,073,600 < 2^21
+    p = batched.MAX_PRIME
+    rng = np.random.default_rng(64)
+    a = rng.integers(p - 3, p, size=(300, 64))
+    b = rng.integers(p - 3, p, size=(64, 50))
+    a[0] = b[:, 0] = p - 1
+    got = batched.matmul_mod_f32(a, b, p)
+    assert (got.astype(np.int64) == a @ b % p).all()
+    with pytest.raises(ValueError):
+        batched.matmul_mod_f32(np.ones((2, 65)), np.ones((65, 2)), p)
+
+
+def _values(planes, n):
+    """The first n lanes of (b, ..., words) bit-planes as integers."""
+    bits = np.unpackbits(planes.view(np.uint8), axis=-1, bitorder="little")[..., :n]
+    return sum(bits[k].astype(np.int64) << k for k in range(len(planes)))
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_plane_arithmetic_exhaustive(p):
+    a, b = (x.ravel() for x in np.meshgrid(np.arange(p), np.arange(p)))
+    pa, pb = batched.pack_planes(a, p), batched.pack_planes(b, p)
+    assert pa.shape == (p.bit_length(), -(-p * p // 64))
+    assert (_values(pa, p * p) == a).all()
+    assert (_values(batched._add_mod(pa, pb, p), p * p) == (a + b) % p).all()
+    mults = batched._multiples(pa, p)
+    for c in range(1, p):
+        assert (_values(mults[c - 1], p * p) == c * a % p).all()
+    masks = batched._equal_masks(pa, p)
+    for c in range(1, p):
+        assert (_values(masks[c - 1][None], p * p) == (a == c)).all()
+
+
+def _planted(rng, p, n, r, c):
+    """n random r x c matrices over F_p, each of a random rank <= min(r, c)
+    (a product through a random inner dimension), as an int64 array."""
+    k = rng.integers(0, min(r, c) + 1, size=n)
+    left = rng.integers(0, p, size=(n, r, min(r, c)))
+    right = rng.integers(0, p, size=(n, min(r, c), c))
+    left *= np.arange(min(r, c)) < k[:, None, None]
+    return left @ right % p
+
+
+@settings(max_examples=60, deadline=None)
+@given(p=st.sampled_from([2, 3, 5, 7]), n=st.integers(1, 300),
+       shape=st.sampled_from([(6, 6), (10, 10), (3, 5), (7, 4), (1, 6)]),
+       seed=st.integers(0, 2**32 - 1))
+def test_plane_rank_matches_batch_rank(p, n, shape, seed):
+    rng = np.random.default_rng(seed)
+    mats = _planted(rng, p, n, *shape)
+    mats[rng.random(n) < 0.2] = rng.integers(0, p, size=shape)
+    got = batched.plane_rank(batched.pack_planes(mats.transpose(1, 2, 0), p), p)
+    assert got.shape == (-(-n // 64) * 64,) and got.dtype == np.int64
+    assert (got[:n] == batched.batch_rank(mats, p)).all()
+    assert not got[n:].any()            # padding lanes are zero matrices
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_plane_rank_on_every_planted_rank(p):
+    # 6x6 matrices through an inner dimension k = 0 .. 6, 150 of each
+    rng = np.random.default_rng(p)
+    mats = np.concatenate([rng.integers(0, p, size=(150, 6, k))
+                           @ rng.integers(0, p, size=(150, k, 6)) for k in range(7)]) % p
+    want = batched.batch_rank(mats, p)
+    assert set(want.tolist()) == set(range(7))
+    got = batched.plane_rank(batched.pack_planes(mats.transpose(1, 2, 0), p), p)
+    assert (got[:len(mats)] == want).all() and not got[len(mats):].any()
+
+
+def test_bit_plane_kernels_refuse_large_primes():
+    for call in (lambda: batched.pack_planes(np.zeros((6, 6, 1), dtype=np.uint8), 11),
+                 lambda: batched.plane_rank(np.zeros((4, 6, 6, 1), dtype=np.uint64), 11),
+                 lambda: batched.intersection_dims_for_groups(
+                     _group_block(11, 19, 0, 1), np.zeros((15, 60), dtype=np.float32), 11)):
+        with pytest.raises(ValueError):
+            call()
+
+
+def _pattern_with_f(f):
+    # f free slots in u_3 exactly when its pivot column is 5 - f
+    return next(i for i, P in enumerate(batched.pivot_patterns()) if P[2] == 5 - f)
+
+
+@settings(max_examples=60, deadline=None)
+@given(p=st.sampled_from([2, 3, 5, 7]), f=st.integers(0, 3), groups=st.integers(1, 150),
+       tangent=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_group_dims_match_the_float32_route(p, f, groups, tangent, seed):
+    # every f from 0 to 3, group counts that leave padding lanes in the last
+    # word, and A = T_U for a U of the block, whose group has rank X < 4
+    import random as pyrandom
+    from lagstrata.lagrangian import random_graph_lagrangian, tangent_space
+    from lagstrata.linalg import LinearSubspace
+    from lagstrata.strata import _rows_array
+    field = GF(p)
+    rng = np.random.default_rng(seed)
+    desc = _group_block(p, _pattern_with_f(f), int(rng.integers(0, 2**40)), groups)
+    if tangent:
+        codes = batched.group_block_codes(desc, p).ravel()
+        U = batched.echelon_rows(desc[0], desc[1], codes[rng.integers(codes.size)][None], p)[0]
+        A = tangent_space(LinearSubspace.from_vectors(
+            field, 6, [[field.from_int(int(x)) for x in r] for r in U]))
+    else:
+        A = random_graph_lagrangian(field, pyrandom.Random(seed))
+    D = batched.tangent_gram_blocks(_rows_array(A) % p, p)
+    got = batched.intersection_dims_for_groups(desc, D, p)
+    assert got.shape == (p**f, desc[3]) and got.dtype == np.int64
+    assert (got == intersection_dims_for_groups_f32(desc, D, p)).all()
+
+
+@pytest.mark.parametrize("chunk", [1000, 32768, 65536])
+def test_census_group_blocks_fill_whole_words(chunk):
+    # at most chunk / 4 groups per block, rounded down to a multiple of 64
+    # lanes where a block holds more than 64, so only a pattern's last block
+    # pads
+    for p in (5, 7):
+        for desc in batched.group_block_descriptors(p, chunk):
+            total = p ** (len(desc[1]) - sum(i == 2 for i, _ in desc[1]))
+            assert desc[3] <= max(1, chunk // 4)
+            assert desc[3] <= 64 or desc[3] % 64 == 0 or desc[2] + desc[3] == total
+
+
+def test_tables_are_read_only_and_not_built_at_import():
+    src = os.path.dirname(os.path.dirname(batched.__file__))
+    names = ("inverse_table", "_pair_indices", "tri_biv_to_five", "vec_tri_to_four",
+             "_wedge_basis_vector", "plucker_relations", "_plane_tables")
+    code = ("import lagstrata.cli\n"
+            "from lagstrata import batched\n"
+            f"print([getattr(batched, n).cache_info().currsize for n in {names!r}])")
+    out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                         capture_output=True, text=True, check=True).stdout
+    assert out.strip() == str([0] * len(names))
+    for table in (batched.inverse_table(5), *batched._pair_indices(), batched.tri_biv_to_five(),
+                  batched.vec_tri_to_four(), batched._wedge_basis_vector(),
+                  batched.plucker_relations(), *batched._plane_tables(5)):
+        assert not table.flags.writeable

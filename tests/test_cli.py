@@ -120,6 +120,11 @@ def test_accept_all_aggregates_fast_criteria():
     (("dual-k3", "--trials", "-1"), 2),
     (("dual-k3", "--experiment", "residual", "--trials", "0"), 2),
     (("chart-verify", "--trials", "-1"), 2),
+    (("invariants", "--genus", "1"), 2),
+    (("accept-all", "--skip", "99"), 2),
+    (("census", "--prime", "2", "--seed", "-5"), 2),
+    (("chart-verify", "--seed", "-1"), 2),
+    (("dual-k3", "--seed", "-7"), 2),
 ])
 def test_error_reports_do_not_pass(args, code):
     res = invoke(*args, "--json-only")
@@ -222,6 +227,9 @@ CENSUS_RESULT_SHA = {
         "b6e641dbf69d518dec75d2668496a6b594caf5d7ff416504e31eb5bc4cb7a2db",
     ("--prime", "2", "--seed", "9", "--lg1"):
         "e8bdabce26c10473c754c91307ece9b813757234f5c8d3325d03303e361a349a",
+    # as reported when the 6x6 residuals were ranked in float32
+    ("--prime", "5", "--seed", "11"):
+        "a00bf07005893284058cdb08b91c5a863e7df46b383995d21b61f2e72db26e21",
 }
 
 

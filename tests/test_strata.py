@@ -14,8 +14,9 @@ from lagstrata.lagrangian import (tangent_space, f_space, random_graph_lagrangia
                                   LagrangianSubspace, intersection_dim)
 from lagstrata.strata import (stratum, census, sigma_probe,
                               delta_witnesses, gamma_witnesses, sample_lg1,
-                              BudgetExceededError, _rows_array)
-from references import census_brute, grassmann_block_descriptors
+                              BudgetExceededError, _census_scan, _rows_array)
+from references import (census_brute, grassmann_block_descriptors,
+                        intersection_dims_for_groups_f32)
 
 
 def basis_subspace(field, idxs):
@@ -376,3 +377,23 @@ def test_gamma_witnesses_p5_tangent_pinned():
     assert res.detail["counts"] == {"0": 1953125, "4": 600625, "6": 4805, "10": 1}
     assert hashlib.sha256(json.dumps(res.witnesses, sort_keys=True).encode()).hexdigest() == (
         "8b8353d0a9d4214abd117442ab6f952929d42dbee954398ff9d5e8cffc439e41")
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_whole_census_matches_the_float32_route(p, monkeypatch):
+    # the bit-plane census against the float32 route of its 6x6 residuals, on
+    # every group of G(3, F_p^6): random graph Lagrangians, and a tangent
+    # space, whose census has witnesses and rank-deficient groups
+    field = GF(p)
+    draws = [random_graph_lagrangian(field, random.Random(seed)) for seed in range(3)]
+    draws.append(tangent_space(basis_subspace(field, (2, 4, 5))))
+
+    def scans():
+        # the counts and the first 64 witnesses of each census
+        return [(report.counts, [w.tolist() for w in witnesses])
+                for report, witnesses in (_census_scan(A, 2000, 2) for A in draws)]
+
+    got = scans()
+    monkeypatch.setattr(batched, "intersection_dims_for_groups", intersection_dims_for_groups_f32)
+    assert got == scans()
+    assert any(witnesses for _, witnesses in got)

@@ -33,7 +33,6 @@ class BudgetExceededError(RuntimeError):
 
 
 SCAN_MAX_PRIME = 7      # at p = 11 one scan covers 2,617,126,920 subspaces: hours
-assert SCAN_MAX_PRIME <= batched.PLANES_MAX_PRIME   # the census kernel's domain
 SIGMA_EXHAUSTIVE_MAX_PRIME = 5
 DELTA_MAX_PRIME = 13
 DELTA_CHUNK = 4096      # points per delta block: each builds (150, n) products and a
